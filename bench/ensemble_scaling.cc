@@ -1,6 +1,5 @@
-/// Ensemble-scaling baseline — cost of the ensemble's snapshot machinery
-/// with zero-copy temporal views vs the legacy materialized path, written
-/// to BENCH_ensemble_scaling.json so the perf trajectory is tracked
+/// Ensemble-scaling baseline — cost of the ensemble's snapshot machinery,
+/// written to BENCH_ensemble_scaling.json so the perf trajectory is tracked
 /// in-repo.
 ///
 /// Two claims are measured on an AMiner-profile graph with k equal-count
@@ -10,11 +9,11 @@
 ///            k materialized CitationGraph copies, and the bytes each
 ///            snapshot structure retains (the index is V+E+k shared by all
 ///            views; copies cost k·(V+E)).
-///   rank   — full ens_twpr at 1/2/4/8 threads in both modes, fixed
-///            iteration count (tolerance 0) so every row performs
-///            identical arithmetic. Every view row must match the
-///            materialized oracle AND the 1-thread run bit for bit — the
-///            bench aborts otherwise.
+///   rank   — full ens_twpr at 1/2/4/8 threads, fixed iteration count
+///            (tolerance 0) so every row performs identical arithmetic.
+///            Every row must match the 1-thread run bit for bit — the bench
+///            aborts otherwise. (tests/ensemble_view_test.cc holds the
+///            materialized oracle the views are checked against.)
 ///
 /// Peak-RSS numbers (VmHWM around each setup phase, reset via
 /// /proc/self/clear_refs) are informative only: the allocator and the
@@ -59,8 +58,6 @@ struct Row {
   int threads = 0;
   int iterations = 0;
   double view_wall_ms = 0.0;
-  double materialized_wall_ms = 0.0;
-  bool scores_match_materialized = false;
   bool scores_match_serial = false;
 };
 
@@ -139,7 +136,7 @@ SetupStats MeasureSetup(const CitationGraph& g,
   return stats;
 }
 
-EnsembleRanker MakeEnsemble(int threads, bool materialize) {
+EnsembleRanker MakeEnsemble(int threads) {
   TwprOptions twpr;
   twpr.power.tolerance = 0.0;  // fixed work at every thread count
   twpr.power.max_iterations = kFixedIterations;
@@ -147,7 +144,6 @@ EnsembleRanker MakeEnsemble(int threads, bool materialize) {
   o.num_slices = kNumSlices;
   o.warm_start = false;  // snapshots rank concurrently — the hard mode
   o.threads = threads;
-  o.materialize_snapshots = materialize;
   return EnsembleRanker(std::make_shared<TimeWeightedPageRank>(twpr), o);
 }
 
@@ -201,12 +197,8 @@ void WriteJson(const CitationGraph& g, const SetupStats& setup,
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"threads\": %d, \"iterations\": %d, "
-                 "\"view_wall_ms\": %.2f, \"materialized_wall_ms\": %.2f, "
-                 "\"scores_match_materialized\": %s, "
-                 "\"scores_match_serial\": %s}%s\n",
+                 "\"view_wall_ms\": %.2f, \"scores_match_serial\": %s}%s\n",
                  r.threads, r.iterations, r.view_wall_ms,
-                 r.materialized_wall_ms,
-                 r.scores_match_materialized ? "true" : "false",
                  r.scores_match_serial ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
@@ -220,7 +212,8 @@ void WriteJson(const CitationGraph& g, const SetupStats& setup,
 int main(int argc, char** argv) {
   InitBench(argc, argv);
   Banner("ensemble_scaling",
-         "zero-copy temporal views vs materialized snapshots (ens_twpr)");
+         "zero-copy temporal views: setup vs materialized snapshots, "
+         "ens_twpr thread scaling");
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
   const size_t articles = g_smoke ? 2000 : quick ? 20000 : 1000000;
   const int repeats = g_smoke || quick ? 1 : 2;
@@ -250,25 +243,12 @@ int main(int argc, char** argv) {
     row.threads = threads;
     RankResult view_result;
     row.view_wall_ms =
-        TimeRank(MakeEnsemble(threads, /*materialize=*/false), g, repeats,
-                 &view_result);
-    RankResult mat_result;
-    row.materialized_wall_ms =
-        TimeRank(MakeEnsemble(threads, /*materialize=*/true), g, repeats,
-                 &mat_result);
+        TimeRank(MakeEnsemble(threads), g, repeats, &view_result);
     row.iterations = view_result.iterations;
-    row.scores_match_materialized = view_result.scores == mat_result.scores;
     if (threads == 1) serial_scores = view_result.scores;
     row.scores_match_serial = view_result.scores == serial_scores;
-    std::printf(
-        "  threads=%d  view=%.1f ms  materialized=%.1f ms  "
-        "oracle_match=%s  serial_match=%s\n",
-        row.threads, row.view_wall_ms, row.materialized_wall_ms,
-        row.scores_match_materialized ? "yes" : "NO",
-        row.scores_match_serial ? "yes" : "NO");
-    SCHOLAR_CHECK(row.scores_match_materialized)
-        << "view scores diverged from the materialized oracle at "
-        << threads << " threads";
+    std::printf("  threads=%d  view=%.1f ms  serial_match=%s\n", row.threads,
+                row.view_wall_ms, row.scores_match_serial ? "yes" : "NO");
     SCHOLAR_CHECK(row.scores_match_serial)
         << "view scores diverged from the 1-thread run at " << threads
         << " threads";

@@ -526,10 +526,7 @@ std::string UsageText() {
          "  rank       rank a corpus; same inputs plus ranker=<name>,\n"
          "             algorithm keys (sigma=, num_slices=, ...), top=<k>,\n"
          "             threads=<t> (0 = all cores, 1 = serial; scores are\n"
-         "             bit-identical at every setting);\n"
-         "             ens_* rankers accept materialize_snapshots=true to\n"
-         "             force legacy per-snapshot graph copies (bit-identical\n"
-         "             to the default zero-copy snapshot views)\n"
+         "             bit-identical at every setting)\n"
          "  eval       benchmark rankers on a synthetic corpus;\n"
          "             rankers=<a,b,...> pairs=<count>\n"
          "  convert    read one format, write others (generate's out_*)\n"

@@ -60,8 +60,6 @@ Result<std::shared_ptr<const Ranker>> MakeRanker(const std::string& name,
     o.gamma = config.GetDoubleOr("ens_gamma", o.gamma);
     o.window = static_cast<int>(config.GetIntOr("window", o.window));
     o.warm_start = config.GetBoolOr("warm_start", o.warm_start);
-    o.materialize_snapshots =
-        config.GetBoolOr("materialize_snapshots", o.materialize_snapshots);
     o.threads = static_cast<int>(config.GetIntOr("threads", o.threads));
     return std::shared_ptr<const Ranker>(
         std::make_shared<EnsembleRanker>(std::move(base), o));

@@ -30,9 +30,7 @@ namespace scholar {
 ///                         partition (span|count), normalizer
 ///                         (max|sum|percentile|zscore), scope
 ///                         (year|cohort|snapshot), combiner (mean|recency),
-///                         ens_gamma, window, materialize_snapshots
-///                         (force the legacy per-snapshot graph copies
-///                         instead of zero-copy views; bit-identical)
+///                         ens_gamma, window
 ///
 /// Unknown names yield NotFound; malformed parameter values yield
 /// InvalidArgument.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "graph/temporal_csr.h"
-#include "graph/time_slicer.h"
 #include "rank/pagerank.h"
 #include "rank/time_weighted_pagerank.h"
 #include "util/logging.h"
@@ -22,7 +21,7 @@ constexpr size_t kNodeGrain = 2048;
 
 /// Everything one snapshot produces before it is folded into the ensemble.
 struct SnapshotRun {
-  Snapshot snap;
+  SnapshotView view;
   RankResult sub;
   std::vector<double> normalized;
 };
@@ -81,6 +80,11 @@ Result<RankResult> EnsembleRanker::RankImpl(const RankContext& ctx) const {
 Result<RankResult> EnsembleRanker::RankWithDetails(
     const RankContext& ctx, std::vector<SnapshotDetail>* details) const {
   SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
+  if (ctx.view != nullptr) {
+    return Status::InvalidArgument(
+        "the ensemble slices a full graph; it cannot rank a snapshot view "
+        "(RankContext.view)");
+  }
   if (options_.num_slices < 1) {
     return Status::InvalidArgument("num_slices must be >= 1");
   }
@@ -97,18 +101,8 @@ Result<RankResult> EnsembleRanker::RankWithDetails(
   SCHOLAR_ASSIGN_OR_RETURN(
       std::vector<Year> boundaries,
       ComputeSliceBoundaries(g, options_.num_slices, options_.partition));
-  const size_t k = boundaries.size();
-
-  // Zero-copy path: when the base ranker can consume snapshot views, all k
-  // snapshots share one time-prefix CSR instead of k materialized graph
-  // copies. Authors/venues stay on the legacy path (no view-capable base
-  // consumes them, and their restriction maps are id-space specific).
-  if (base_->SupportsSnapshotViews() && ctx.authors == nullptr &&
-      ctx.venues == nullptr) {
-    return RankViaTemporalViews(ctx, details, boundaries);
-  }
-
   const size_t n = g.num_nodes();
+  const size_t k = boundaries.size();
   const size_t workers = EffectiveThreads(options_.threads, ctx);
   // The ensemble owns its pool outright: scratch.PoolFor() rebuilds its pool
   // whenever a base ranker asks for a different width, so lending scratch to
@@ -120,6 +114,19 @@ Result<RankResult> EnsembleRanker::RankWithDetails(
   // scratch's buffers instead of reallocating per snapshot.
   PowerIterationScratch scratch;
 
+  // One index serves all k snapshots: each is a zero-copy prefix view of
+  // the year-sorted graph. TWPR's decay weights are cached once on that
+  // graph and shared read-only by every snapshot rank (the cache is
+  // thread-safe, so the parallel mode shares it too).
+  const TemporalCsr tcsr(g);
+  const CitationGraph& sg = tcsr.sorted_graph();
+  TwprWeightCache twpr_cache;
+
+  // Everything below runs in year-sorted node space, where snapshot i is
+  // the id prefix [0, sn_i) — no per-snapshot id maps. Only the final
+  // scores are scattered back to parent ids; `authors` and `venues` reach
+  // the base ranker untouched, indexed by parent id.
+  //
   // First snapshot containing each article: the first boundary at or after
   // its publication year. boundaries is sorted ascending, so this is one
   // binary search per node.
@@ -127,47 +134,36 @@ Result<RankResult> EnsembleRanker::RankWithDetails(
   ParallelFor(pool, n, kNodeGrain, [&](size_t begin, size_t end) {
     for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
       first_snapshot[v] = static_cast<size_t>(
-          std::lower_bound(boundaries.begin(), boundaries.end(), g.year(v)) -
+          std::lower_bound(boundaries.begin(), boundaries.end(), sg.year(v)) -
           boundaries.begin());
     }
   });
 
   std::vector<double> accumulated(n, 0.0);
   std::vector<double> weight_sum(n, 0.0);
-  // Raw scores of the previous snapshot, scattered to parent ids; feeds the
-  // warm start of the next (accumulative, therefore larger) snapshot.
-  std::vector<double> parent_scores;
+  // Raw scores of the previous snapshot; because snapshots are nested
+  // prefixes, the warm start of the next snapshot is a direct prefix read.
+  std::vector<double> prev_scores;
 
   RankResult result;
   result.converged = true;
 
-  // Ranks one extracted snapshot and normalizes its scores. Runs entirely on
-  // the calling thread; inner parallelism is bounded by `sub_max_threads`
-  // (the base ranker clamp) and `norm_pool` (the cohort-normalization pool).
+  // Ranks one snapshot and normalizes its scores. Runs entirely on the
+  // calling thread; inner parallelism is bounded by `sub_max_threads` (the
+  // base ranker clamp) and `norm_pool` (the cohort-normalization pool).
   auto run_snapshot = [&](size_t i, SnapshotRun* run,
                           const std::vector<double>* initial,
                           int sub_max_threads,
                           PowerIterationScratch* sub_scratch,
                           ThreadPool* norm_pool) -> Status {
-    const Snapshot& snap = run->snap;
-    PaperAuthors snap_authors;
-    std::vector<int32_t> snap_venues;
     RankContext sub_ctx;
-    sub_ctx.graph = &snap.graph;
+    sub_ctx.view = &run->view;
+    sub_ctx.authors = ctx.authors;
+    sub_ctx.venues = ctx.venues;
+    sub_ctx.twpr_cache = &twpr_cache;
     sub_ctx.now_year = boundaries[i];
     sub_ctx.max_threads = sub_max_threads;
     sub_ctx.scratch = sub_scratch;
-    if (ctx.authors != nullptr) {
-      snap_authors = RestrictAuthorsToSnapshot(*ctx.authors, snap.to_parent);
-      sub_ctx.authors = &snap_authors;
-    }
-    if (ctx.venues != nullptr) {
-      snap_venues.reserve(snap.to_parent.size());
-      for (NodeId parent : snap.to_parent) {
-        snap_venues.push_back((*ctx.venues)[parent]);
-      }
-      sub_ctx.venues = &snap_venues;
-    }
     if (initial != nullptr) sub_ctx.initial_scores = initial;
 
     SCHOLAR_ASSIGN_OR_RETURN(run->sub, base_->Rank(sub_ctx));
@@ -182,15 +178,14 @@ Result<RankResult> EnsembleRanker::RankWithDetails(
     // so whole groups parallelize safely.
     run->normalized.assign(run->sub.scores.size(), 0.0);
     const bool by_year = options_.scope == NormalizationScope::kYearCohort;
-    const Year min_year = g.min_year();
+    const Year min_year = sg.min_year();
     const size_t num_groups =
-        by_year ? static_cast<size_t>(g.max_year() - min_year) + 1 : k;
+        by_year ? static_cast<size_t>(sg.max_year() - min_year) + 1 : k;
     std::vector<std::vector<NodeId>> groups(num_groups);
-    for (NodeId s = 0; s < snap.graph.num_nodes(); ++s) {
-      const NodeId parent = snap.to_parent[s];
+    for (NodeId s = 0; s < run->view.num_nodes(); ++s) {
       const size_t key = by_year
-                             ? static_cast<size_t>(g.year(parent) - min_year)
-                             : first_snapshot[parent];
+                             ? static_cast<size_t>(sg.year(s) - min_year)
+                             : first_snapshot[s];
       groups[key].push_back(s);
     }
     ParallelFor(norm_pool, num_groups, 1, [&](size_t gb, size_t ge) {
@@ -215,276 +210,21 @@ Result<RankResult> EnsembleRanker::RankWithDetails(
   // floating-point accumulation order — and therefore the scores — is
   // independent of the thread count.
   auto accumulate = [&](size_t i, SnapshotRun* run) {
-    const Snapshot& snap = run->snap;
+    const size_t sn = run->view.num_nodes();
     result.iterations += run->sub.iterations;
     result.converged = result.converged && run->sub.converged;
     result.final_residual =
         std::max(result.final_residual, run->sub.final_residual);
     if (details != nullptr) {
-      details->push_back({boundaries[i], snap.graph.num_nodes(),
-                          snap.graph.num_edges(), run->sub.iterations});
-    }
-    const double weight =
-        options_.combiner == EnsembleCombiner::kMean
-            ? 1.0
-            : std::pow(options_.gamma, static_cast<double>(k - 1 - i));
-    const std::vector<double>& normalized = run->normalized;
-    // Distinct snapshot nodes map to distinct parents, so the scatter is
-    // race-free.
-    ParallelFor(pool, snap.graph.num_nodes(), kNodeGrain,
-                [&](size_t begin, size_t end) {
-      for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
-        const NodeId parent = snap.to_parent[s];
-        if (options_.window > 0 &&
-            i >= first_snapshot[parent] +
-                     static_cast<size_t>(options_.window)) {
-          continue;  // beyond this article's contemporary window
-        }
-        accumulated[parent] += weight * normalized[s];
-        weight_sum[parent] += weight;
-      }
-    });
-    *run = SnapshotRun{};
-  };
-
-  const bool parallel_snapshots =
-      !options_.warm_start && workers > 1 && k > 1;
-  if (parallel_snapshots) {
-    // Without warm starts the k snapshot rankings are independent: extract
-    // and rank them concurrently (base ranker clamped to one thread each so
-    // the two levels never oversubscribe), then fold in index order.
-    std::vector<SnapshotRun> runs(k);
-    std::vector<Status> statuses(k);
-    ParallelForChunks(pool, k, 1, [&](size_t c, size_t, size_t) {
-      // Legacy path: the base ranker cannot consume views.
-      runs[c].snap = ExtractSnapshot(g, boundaries[c]);  // NOLINT(materialize-snapshot)
-      if (runs[c].snap.graph.num_nodes() == 0) return;
-      statuses[c] = run_snapshot(c, &runs[c], /*initial=*/nullptr,
-                                 /*sub_max_threads=*/1,
-                                 /*sub_scratch=*/nullptr,
-                                 /*norm_pool=*/nullptr);
-    });
-    for (size_t i = 0; i < k; ++i) {
-      SCHOLAR_RETURN_NOT_OK(statuses[i]);
-      if (runs[i].snap.graph.num_nodes() == 0) continue;
-      accumulate(i, &runs[i]);
-    }
-  } else {
-    for (size_t i = 0; i < k; ++i) {
-      SnapshotRun run;
-      // Legacy path: the base ranker cannot consume views.
-      run.snap = ExtractSnapshot(g, boundaries[i]);  // NOLINT(materialize-snapshot)
-      const size_t sn = run.snap.graph.num_nodes();
-      if (sn == 0) continue;
-
-      std::vector<double> initial;
-      const std::vector<double>* initial_ptr = nullptr;
-      if (options_.warm_start && !parent_scores.empty()) {
-        // Nodes new to this snapshot start at the mean previous score. The
-        // mean is a chunked reduction combined in chunk order, so it is
-        // exact across thread counts.
-        initial.resize(sn);
-        const size_t chunks = ChunkCount(sn, kNodeGrain);
-        std::vector<double> part_total(chunks, 0.0);
-        std::vector<size_t> part_known(chunks, 0);
-        ParallelForChunks(pool, sn, kNodeGrain,
-                          [&](size_t chunk, size_t begin, size_t end) {
-          double total = 0.0;
-          size_t known = 0;
-          for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
-            const double prev = parent_scores[run.snap.to_parent[s]];
-            if (prev > 0.0) {
-              total += prev;
-              ++known;
-            }
-          }
-          part_total[chunk] = total;
-          part_known[chunk] = known;
-        });
-        double total = 0.0;
-        size_t known = 0;
-        for (size_t c = 0; c < chunks; ++c) {
-          total += part_total[c];
-          known += part_known[c];
-        }
-        const double fallback = known > 0
-                                    ? total / static_cast<double>(known)
-                                    : 1.0 / static_cast<double>(sn);
-        ParallelFor(pool, sn, kNodeGrain, [&](size_t begin, size_t end) {
-          for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
-            const double prev = parent_scores[run.snap.to_parent[s]];
-            initial[s] = prev > 0.0 ? prev : fallback;
-          }
-        });
-        initial_ptr = &initial;
-      }
-
-      SCHOLAR_RETURN_NOT_OK(run_snapshot(i, &run, initial_ptr,
-                                         ctx.max_threads, &scratch, pool));
-      if (options_.warm_start) {
-        parent_scores.assign(n, 0.0);
-        ParallelFor(pool, sn, kNodeGrain, [&](size_t begin, size_t end) {
-          for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
-            parent_scores[run.snap.to_parent[s]] = run.sub.scores[s];
-          }
-        });
-      }
-      accumulate(i, &run);
-    }
-  }
-
-  result.scores.resize(n);
-  ParallelFor(pool, n, kNodeGrain, [&](size_t begin, size_t end) {
-    for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
-      // Every article appears in at least the final snapshot, so the weight
-      // sum is positive; the guard keeps degenerate subclasses safe.
-      result.scores[v] =
-          weight_sum[v] > 0.0 ? accumulated[v] / weight_sum[v] : 0.0;
-    }
-  });
-  return result;
-}
-
-Result<RankResult> EnsembleRanker::RankViaTemporalViews(
-    const RankContext& ctx, std::vector<SnapshotDetail>* details,
-    const std::vector<Year>& boundaries) const {
-  const CitationGraph& g = *ctx.graph;
-  const size_t n = g.num_nodes();
-  const size_t k = boundaries.size();
-  const size_t workers = EffectiveThreads(options_.threads, ctx);
-  std::unique_ptr<ThreadPool> owned_pool =
-      workers > 1 ? std::make_unique<ThreadPool>(workers - 1) : nullptr;
-  ThreadPool* pool = owned_pool.get();
-  PowerIterationScratch scratch;
-
-  // One index serves all k snapshots. TWPR's decay weights are cached once
-  // on the sorted parent and shared read-only by every snapshot rank (the
-  // cache is thread-safe, so the parallel mode shares it too).
-  const TemporalCsr tcsr(g);
-  const CitationGraph& sg = tcsr.sorted_graph();
-  TwprWeightCache twpr_cache;
-
-  // Everything below runs in year-sorted node space, where snapshot i is
-  // the id prefix [0, sn_i) — no per-snapshot id maps. Under
-  // materialize_snapshots the same prefixes are extracted from the sorted
-  // graph (identity id maps), so both modes execute identical arithmetic in
-  // identical order: bit-identical scores, which is what makes that mode
-  // the oracle.
-  const bool materialize = options_.materialize_snapshots;
-
-  std::vector<size_t> first_snapshot(n, 0);
-  ParallelFor(pool, n, kNodeGrain, [&](size_t begin, size_t end) {
-    for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
-      first_snapshot[v] = static_cast<size_t>(
-          std::lower_bound(boundaries.begin(), boundaries.end(), sg.year(v)) -
-          boundaries.begin());
-    }
-  });
-
-  std::vector<double> accumulated(n, 0.0);
-  std::vector<double> weight_sum(n, 0.0);
-  // Raw scores of the previous snapshot in sorted space; because snapshots
-  // are nested prefixes, the warm start of the next snapshot is a direct
-  // prefix read — no scatter/gather through id maps.
-  std::vector<double> prev_scores;
-
-  RankResult result;
-  result.converged = true;
-
-  struct ViewRun {
-    SnapshotView view;     // zero-copy mode
-    Snapshot snap;         // oracle mode (materialize_snapshots)
-    size_t num_nodes = 0;
-    RankResult sub;
-    std::vector<double> normalized;
-  };
-
-  auto make_run = [&](size_t i, ViewRun* run) {
-    if (materialize) {
-      // The oracle: the same time prefix, materialized from the sorted
-      // graph so its node numbering matches sorted space.
-      run->snap = ExtractSnapshot(sg, boundaries[i]);  // NOLINT(materialize-snapshot)
-      run->num_nodes = run->snap.graph.num_nodes();
-    } else {
-      run->view = tcsr.MakeView(boundaries[i]);
-      run->num_nodes = run->view.num_nodes();
-    }
-  };
-
-  // Ranks one snapshot and normalizes its scores; sorted-space analogue of
-  // the legacy run_snapshot (authors/venues never reach this path).
-  auto run_snapshot = [&](size_t i, ViewRun* run,
-                          const std::vector<double>* initial,
-                          int sub_max_threads,
-                          PowerIterationScratch* sub_scratch,
-                          ThreadPool* norm_pool) -> Status {
-    RankContext sub_ctx;
-    if (materialize) {
-      sub_ctx.graph = &run->snap.graph;
-    } else {
-      sub_ctx.view = &run->view;
-      sub_ctx.twpr_cache = &twpr_cache;
-    }
-    sub_ctx.now_year = boundaries[i];
-    sub_ctx.max_threads = sub_max_threads;
-    sub_ctx.scratch = sub_scratch;
-    if (initial != nullptr) sub_ctx.initial_scores = initial;
-
-    SCHOLAR_ASSIGN_OR_RETURN(run->sub, base_->Rank(sub_ctx));
-
-    if (options_.scope == NormalizationScope::kSnapshot) {
-      run->normalized = NormalizeScores(run->sub.scores, options_.normalizer);
-      return Status::OK();
-    }
-    run->normalized.assign(run->sub.scores.size(), 0.0);
-    const bool by_year = options_.scope == NormalizationScope::kYearCohort;
-    const Year min_year = sg.min_year();
-    const size_t num_groups =
-        by_year ? static_cast<size_t>(sg.max_year() - min_year) + 1 : k;
-    std::vector<std::vector<NodeId>> groups(num_groups);
-    for (NodeId s = 0; s < run->num_nodes; ++s) {
-      const size_t key = by_year
-                             ? static_cast<size_t>(sg.year(s) - min_year)
-                             : first_snapshot[s];
-      groups[key].push_back(s);
-    }
-    ParallelFor(norm_pool, num_groups, 1, [&](size_t gb, size_t ge) {
-      std::vector<double> group_scores;
-      for (size_t gi = gb; gi < ge; ++gi) {
-        const std::vector<NodeId>& group = groups[gi];
-        if (group.empty()) continue;
-        group_scores.clear();
-        for (NodeId s : group) group_scores.push_back(run->sub.scores[s]);
-        std::vector<double> group_norm =
-            NormalizeScores(group_scores, options_.normalizer);
-        for (size_t t = 0; t < group.size(); ++t) {
-          run->normalized[group[t]] = group_norm[t];
-        }
-      }
-    });
-    return Status::OK();
-  };
-
-  // Folds one finished snapshot into the running totals. Called in
-  // snapshot-index order in both execution modes (fixed fp order).
-  auto accumulate = [&](size_t i, ViewRun* run) {
-    result.iterations += run->sub.iterations;
-    result.converged = result.converged && run->sub.converged;
-    result.final_residual =
-        std::max(result.final_residual, run->sub.final_residual);
-    if (details != nullptr) {
-      const size_t edges = materialize ? run->snap.graph.num_edges()
-                                       : run->view.CountEdges();
       details->push_back(
-          {boundaries[i], run->num_nodes, edges, run->sub.iterations});
+          {boundaries[i], sn, run->view.CountEdges(), run->sub.iterations});
     }
     const double weight =
         options_.combiner == EnsembleCombiner::kMean
             ? 1.0
             : std::pow(options_.gamma, static_cast<double>(k - 1 - i));
     const std::vector<double>& normalized = run->normalized;
-    ParallelFor(pool, run->num_nodes, kNodeGrain,
-                [&](size_t begin, size_t end) {
+    ParallelFor(pool, sn, kNodeGrain, [&](size_t begin, size_t end) {
       for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
         if (options_.window > 0 &&
             i >= first_snapshot[s] + static_cast<size_t>(options_.window)) {
@@ -494,17 +234,20 @@ Result<RankResult> EnsembleRanker::RankViaTemporalViews(
         weight_sum[s] += weight;
       }
     });
-    *run = ViewRun{};
+    *run = SnapshotRun{};
   };
 
   const bool parallel_snapshots =
       !options_.warm_start && workers > 1 && k > 1;
   if (parallel_snapshots) {
-    std::vector<ViewRun> runs(k);
+    // Without warm starts the k snapshot rankings are independent: rank
+    // them concurrently (base ranker clamped to one thread each so the two
+    // levels never oversubscribe), then fold in index order.
+    std::vector<SnapshotRun> runs(k);
     std::vector<Status> statuses(k);
     ParallelForChunks(pool, k, 1, [&](size_t c, size_t, size_t) {
-      make_run(c, &runs[c]);
-      if (runs[c].num_nodes == 0) return;
+      runs[c].view = tcsr.MakeView(boundaries[c]);
+      if (runs[c].view.num_nodes() == 0) return;
       statuses[c] = run_snapshot(c, &runs[c], /*initial=*/nullptr,
                                  /*sub_max_threads=*/1,
                                  /*sub_scratch=*/nullptr,
@@ -512,22 +255,22 @@ Result<RankResult> EnsembleRanker::RankViaTemporalViews(
     });
     for (size_t i = 0; i < k; ++i) {
       SCHOLAR_RETURN_NOT_OK(statuses[i]);
-      if (runs[i].num_nodes == 0) continue;
+      if (runs[i].view.num_nodes() == 0) continue;
       accumulate(i, &runs[i]);
     }
   } else {
     for (size_t i = 0; i < k; ++i) {
-      ViewRun run;
-      make_run(i, &run);
-      const size_t sn = run.num_nodes;
+      SnapshotRun run;
+      run.view = tcsr.MakeView(boundaries[i]);
+      const size_t sn = run.view.num_nodes();
       if (sn == 0) continue;
 
       std::vector<double> initial;
       const std::vector<double>* initial_ptr = nullptr;
       if (options_.warm_start && !prev_scores.empty()) {
-        // Nodes new to this snapshot start at the mean previous score; the
-        // mean is a chunk-ordered reduction, so it is exact across thread
-        // counts (same arithmetic as the legacy path on identity graphs).
+        // Nodes new to this snapshot start at the mean previous score. The
+        // mean is a chunked reduction combined in chunk order, so it is
+        // exact across thread counts.
         initial.resize(sn);
         const size_t chunks = ChunkCount(sn, kNodeGrain);
         std::vector<double> part_total(chunks, 0.0);
@@ -579,7 +322,9 @@ Result<RankResult> EnsembleRanker::RankViaTemporalViews(
   }
 
   // Scatter the sorted-space totals back to parent node ids (a bijection,
-  // so the parallel writes are race-free).
+  // so the parallel writes are race-free). Every article appears in at
+  // least the final snapshot, so the weight sum is positive; the guard
+  // keeps degenerate subclasses safe.
   result.scores.resize(n);
   ParallelFor(pool, n, kNodeGrain, [&](size_t begin, size_t end) {
     for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
@@ -588,16 +333,6 @@ Result<RankResult> EnsembleRanker::RankViaTemporalViews(
     }
   });
   return result;
-}
-
-PaperAuthors RestrictAuthorsToSnapshot(const PaperAuthors& parent,
-                                       const std::vector<NodeId>& to_parent) {
-  std::vector<std::vector<AuthorId>> lists(to_parent.size());
-  for (size_t i = 0; i < to_parent.size(); ++i) {
-    auto span = parent.AuthorsOf(to_parent[i]);
-    lists[i].assign(span.begin(), span.end());
-  }
-  return PaperAuthors::FromLists(lists);
 }
 
 }  // namespace scholar

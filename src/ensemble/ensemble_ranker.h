@@ -66,14 +66,6 @@ struct EnsembleOptions {
   /// scores. Purely a speedup — the fixed points are unchanged — and it
   /// typically halves the total power-iteration count of the ensemble.
   bool warm_start = true;
-  /// Force the legacy materialized-snapshot path (each snapshot extracted
-  /// as a full CitationGraph copy) instead of zero-copy temporal views.
-  /// Bit-identical scores either way — this is the oracle the view path is
-  /// verified against (tests, bench/ensemble_scaling) and an escape hatch;
-  /// it costs O(k·(V+E)) snapshot memory instead of O(V+E). Only
-  /// meaningful for base rankers that support views; others always
-  /// materialize.
-  bool materialize_snapshots = false;
   /// Worker threads: 0 = hardware concurrency, 1 = serial. With
   /// warm_start=false the k snapshot rankings are independent and run
   /// concurrently (the base ranker is capped to one thread per snapshot so
@@ -92,6 +84,11 @@ struct EnsembleOptions {
 /// snapshot; its raw scores are normalized within each snapshot to be
 /// size-comparable; an article's final score combines its normalized scores
 /// over all snapshots that contain it.
+///
+/// Every snapshot is a zero-copy SnapshotView of one TemporalCsr built per
+/// call, handed to the base through RankContext::view together with the
+/// caller's `authors` and `venues` (indexed by parent id). So a graph gets
+/// the same scores whether or not the context carries those maps.
 ///
 /// Why this fixes the recency bias: a 2-year-old article is hopeless in the
 /// full network (it has had no time to accumulate citations), but inside the
@@ -125,24 +122,9 @@ class EnsembleRanker : public Ranker {
   const Ranker& base() const { return *base_; }
 
  private:
-  /// The zero-copy path: one TemporalCsr build, every snapshot a prefix
-  /// view of the sorted parent (or, under options_.materialize_snapshots,
-  /// a materialized copy of the same prefix — the bit-identical oracle).
-  /// All internal state lives in year-sorted node space; the final scores
-  /// are scattered back through the permutation. Taken whenever the base
-  /// ranker supports views and the context carries no authors/venues.
-  Result<RankResult> RankViaTemporalViews(
-      const RankContext& ctx, std::vector<SnapshotDetail>* details,
-      const std::vector<Year>& boundaries) const;
-
   std::shared_ptr<const Ranker> base_;
   EnsembleOptions options_;
 };
-
-/// Restricts a paper-author map to the papers of a snapshot; author ids are
-/// preserved. `to_parent[i]` gives the parent paper of snapshot paper i.
-PaperAuthors RestrictAuthorsToSnapshot(const PaperAuthors& parent,
-                                       const std::vector<NodeId>& to_parent);
 
 }  // namespace scholar
 

@@ -6,10 +6,11 @@ namespace scholar {
 
 Result<RankResult> CitationCountRanker::RankImpl(const RankContext& ctx) const {
   SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
-  const CitationGraph& g = *ctx.graph;
+  ViewRowEnds rows;
+  const GraphAccess g = AccessOf(ctx, &rows);
   RankResult result;
-  result.scores.resize(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+  result.scores.resize(g.num_nodes);
+  for (NodeId v = 0; v < g.num_nodes; ++v) {
     result.scores[v] = static_cast<double>(g.InDegree(v));
   }
   return result;
@@ -17,15 +18,16 @@ Result<RankResult> CitationCountRanker::RankImpl(const RankContext& ctx) const {
 
 Result<RankResult> AgeNormalizedCitationCountRanker::RankImpl(const RankContext& ctx) const {
   SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
-  const CitationGraph& g = *ctx.graph;
+  ViewRowEnds rows;
+  const GraphAccess g = AccessOf(ctx, &rows);
   const Year now = ctx.EffectiveNow();
   RankResult result;
-  result.scores.resize(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+  result.scores.resize(g.num_nodes);
+  for (NodeId v = 0; v < g.num_nodes; ++v) {
     // Age is clamped below at 1 year so same-year articles are not divided
     // by zero (and future-dated articles, which occur in dirty data, do not
     // get a negative divisor).
-    double age = std::max(1, now - g.year(v) + 1);
+    double age = std::max(1, now - g.years[v] + 1);
     result.scores[v] = static_cast<double>(g.InDegree(v)) / age;
   }
   return result;

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "graph/temporal_csr.h"
+
 namespace scholar {
 
 CiteRankRanker::CiteRankRanker(CiteRankOptions options) : options_(options) {}
@@ -15,14 +17,19 @@ Result<RankResult> CiteRankRanker::RankImpl(const RankContext& ctx) const {
     return Status::InvalidArgument("tau must be > 0, got " +
                                    std::to_string(options_.tau));
   }
-  const CitationGraph& g = *ctx.graph;
-  if (g.num_nodes() == 0) return RankResult{};
+  const size_t n = ctx.NumNodes();
+  if (n == 0) return RankResult{};
 
+  // The restart distribution reads only years, which a view keeps as the
+  // prefix of its sorted parent's year array.
+  const Year* years =
+      ctx.view != nullptr ? ctx.view->parent_years().data()
+                          : ctx.graph->years().data();
   const Year now = ctx.EffectiveNow();
-  std::vector<double> jump(g.num_nodes());
+  std::vector<double> jump(n);
   double total = 0.0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const double age = std::max(0, now - g.year(v));
+  for (NodeId v = 0; v < n; ++v) {
+    const double age = std::max(0, now - years[v]);
     jump[v] = std::exp(-age / options_.tau);
     total += jump[v];
   }
@@ -31,10 +38,15 @@ Result<RankResult> CiteRankRanker::RankImpl(const RankContext& ctx) const {
   PowerIterationOptions power = options_.power;
   power.threads = static_cast<int>(EffectiveThreads(power.threads, ctx));
   const std::vector<double> no_initial;
-  return WeightedPowerIteration(
-      g, /*edge_weights=*/{}, jump, power,
-      ctx.initial_scores != nullptr ? *ctx.initial_scores : no_initial,
-      ctx.scratch);
+  const std::vector<double>& initial =
+      ctx.initial_scores != nullptr ? *ctx.initial_scores : no_initial;
+  if (ctx.view != nullptr) {
+    return WeightedPowerIterationOnView(*ctx.view, /*out_edge_weights=*/{},
+                                        /*in_edge_weights=*/{}, jump, power,
+                                        initial, ctx.scratch);
+  }
+  return WeightedPowerIteration(*ctx.graph, /*edge_weights=*/{}, jump, power,
+                                initial, ctx.scratch);
 }
 
 }  // namespace scholar

@@ -21,9 +21,10 @@ Result<RankResult> FutureRankRanker::RankImpl(const RankContext& ctx) const {
   if (o.max_iterations <= 0) {
     return Status::InvalidArgument("max_iterations must be positive");
   }
-  const CitationGraph& g = *ctx.graph;
+  ViewRowEnds rows;
+  const GraphAccess g = AccessOf(ctx, &rows);
   const PaperAuthors& pa = *ctx.authors;
-  const size_t n = g.num_nodes();
+  const size_t n = g.num_nodes;
   const size_t num_authors = pa.num_authors();
   if (n == 0) return RankResult{};
 
@@ -31,10 +32,17 @@ Result<RankResult> FutureRankRanker::RankImpl(const RankContext& ctx) const {
   std::vector<double> time_term(n);
   double time_total = 0.0;
   for (NodeId v = 0; v < n; ++v) {
-    time_term[v] = std::exp(-o.rho * std::max(0, now - g.year(v)));
+    time_term[v] = std::exp(-o.rho * std::max(0, now - g.years[v]));
     time_total += time_term[v];
   }
   for (double& t : time_term) t /= time_total;
+
+  // The author map is indexed by parent id; an author's paper count covers
+  // only the papers ranked here (on a full graph, PaperCount).
+  std::vector<size_t> paper_count(num_authors, 0);
+  for (NodeId p = 0; p < n; ++p) {
+    for (AuthorId a : pa.AuthorsOf(ctx.ToParent(p))) ++paper_count[a];
+  }
 
   const double base = (1.0 - o.alpha - o.beta - o.gamma) / n;
   std::vector<double> scores(n, 1.0 / n);
@@ -47,7 +55,7 @@ Result<RankResult> FutureRankRanker::RankImpl(const RankContext& ctx) const {
     // Author pass: each paper splits its score equally among its authors.
     std::fill(author_scores.begin(), author_scores.end(), 0.0);
     for (NodeId p = 0; p < n; ++p) {
-      auto authors = pa.AuthorsOf(p);
+      auto authors = pa.AuthorsOf(ctx.ToParent(p));
       if (authors.empty()) continue;
       const double share = scores[p] / static_cast<double>(authors.size());
       for (AuthorId a : authors) author_scores[a] += share;
@@ -57,13 +65,15 @@ Result<RankResult> FutureRankRanker::RankImpl(const RankContext& ctx) const {
     std::fill(next.begin(), next.end(), 0.0);
     double dangling_mass = 0.0;
     for (NodeId u = 0; u < n; ++u) {
-      auto refs = g.References(u);
-      if (refs.empty()) {
+      const size_t degree = g.OutDegree(u);
+      if (degree == 0) {
         dangling_mass += scores[u];
         continue;
       }
-      const double share = scores[u] / static_cast<double>(refs.size());
-      for (NodeId v : refs) next[v] += share;
+      const double share = scores[u] / static_cast<double>(degree);
+      for (EdgeId e = g.out_begin[u]; e < g.out_end[u]; ++e) {
+        next[g.out_neighbors[e]] += share;
+      }
     }
     // Dangling citation mass is spread uniformly so the structural part
     // remains stochastic.
@@ -73,9 +83,9 @@ Result<RankResult> FutureRankRanker::RankImpl(const RankContext& ctx) const {
     double sum = 0.0;
     for (NodeId v = 0; v < n; ++v) {
       double author_part = 0.0;
-      for (AuthorId a : pa.AuthorsOf(v)) {
-        const size_t cnt = pa.PaperCount(a);
-        if (cnt > 0) author_part += author_scores[a] / static_cast<double>(cnt);
+      // paper_count[a] >= 1: it counts v itself.
+      for (AuthorId a : pa.AuthorsOf(ctx.ToParent(v))) {
+        author_part += author_scores[a] / static_cast<double>(paper_count[a]);
       }
       double nv = o.alpha * (next[v] + dangling_share) +
                   o.beta * author_part + o.gamma * time_term[v] + base;

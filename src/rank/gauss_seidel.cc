@@ -5,21 +5,21 @@
 #include <utility>
 
 namespace scholar {
+namespace {
 
-Result<RankResult> GaussSeidelPageRank(
-    const CitationGraph& graph, const std::vector<double>& edge_weights,
+/// The solver over GraphAccess, so a full graph and a snapshot view share
+/// one body. Edge ids are the access's (parent) ids: `edge_weights`, when
+/// set, is indexed by out-edge id.
+Result<RankResult> GaussSeidelOnAccess(
+    const GraphAccess& a, const std::vector<double>& edge_weights,
     const std::vector<double>& jump, const PowerIterationOptions& options,
     const std::vector<double>& initial_scores) {
-  const size_t n = graph.num_nodes();
-  const size_t m = graph.num_edges();
+  const size_t n = a.num_nodes;
   if (options.damping < 0.0 || options.damping >= 1.0) {
     return Status::InvalidArgument("damping must be in [0,1)");
   }
   if (options.max_iterations <= 0) {
     return Status::InvalidArgument("max_iterations must be positive");
-  }
-  if (!edge_weights.empty() && edge_weights.size() != m) {
-    return Status::InvalidArgument("edge_weights size mismatch");
   }
   if (!jump.empty()) {
     if (jump.size() != n) {
@@ -40,16 +40,16 @@ Result<RankResult> GaussSeidelPageRank(
   if (n == 0) return RankResult{};
 
   // Transition probabilities on incoming edges: in_transition[e] belongs to
-  // the in-CSR slot e of in_neighbors(). Built with the same ascending-u
-  // scan that FromCsr used, so slots line up.
-  std::vector<double> in_transition(m);
+  // the in-CSR slot e of in_neighbors. Built with the same ascending-u scan
+  // that FromCsr used, so slots line up. Rows end no later than the last
+  // one, which bounds the slot ids.
+  std::vector<double> in_transition(a.in_end[n - 1]);
   std::vector<bool> dangling(n, false);
   {
-    std::vector<EdgeId> cursor(graph.in_offsets().begin(),
-                               graph.in_offsets().end() - 1);
+    std::vector<EdgeId> cursor(a.in_begin, a.in_begin + n);
     for (NodeId u = 0; u < n; ++u) {
-      const EdgeId begin = graph.out_offsets()[u];
-      const EdgeId end = graph.out_offsets()[u + 1];
+      const EdgeId begin = a.out_begin[u];
+      const EdgeId end = a.out_end[u];
       double row_sum = 0.0;
       for (EdgeId e = begin; e < end; ++e) {
         double w = edge_weights.empty() ? 1.0 : edge_weights[e];
@@ -60,13 +60,13 @@ Result<RankResult> GaussSeidelPageRank(
         dangling[u] = true;
         // Slots still need filling to keep cursors aligned.
         for (EdgeId e = begin; e < end; ++e) {
-          in_transition[cursor[graph.out_neighbors()[e]]++] = 0.0;
+          in_transition[cursor[a.out_neighbors[e]]++] = 0.0;
         }
         continue;
       }
       for (EdgeId e = begin; e < end; ++e) {
         double w = edge_weights.empty() ? 1.0 : edge_weights[e];
-        in_transition[cursor[graph.out_neighbors()[e]]++] = w / row_sum;
+        in_transition[cursor[a.out_neighbors[e]]++] = w / row_sum;
       }
     }
   }
@@ -104,10 +104,8 @@ Result<RankResult> GaussSeidelPageRank(
     // already updated this sweep.
     for (NodeId v = n; v-- > 0;) {
       double incoming = 0.0;
-      const EdgeId begin = graph.in_offsets()[v];
-      const EdgeId end = graph.in_offsets()[v + 1];
-      for (EdgeId e = begin; e < end; ++e) {
-        incoming += scores[graph.in_neighbors()[e]] * in_transition[e];
+      for (EdgeId e = a.in_begin[v]; e < a.in_end[v]; ++e) {
+        incoming += scores[a.in_neighbors[e]] * in_transition[e];
       }
       const double jv = jump.empty() ? uniform : jump[v];
       const double updated = d * incoming + teleport * jv;
@@ -131,12 +129,26 @@ Result<RankResult> GaussSeidelPageRank(
   return result;
 }
 
+}  // namespace
+
+Result<RankResult> GaussSeidelPageRank(
+    const CitationGraph& graph, const std::vector<double>& edge_weights,
+    const std::vector<double>& jump, const PowerIterationOptions& options,
+    const std::vector<double>& initial_scores) {
+  if (!edge_weights.empty() && edge_weights.size() != graph.num_edges()) {
+    return Status::InvalidArgument("edge_weights size mismatch");
+  }
+  return GaussSeidelOnAccess(AccessOf(graph), edge_weights, jump, options,
+                             initial_scores);
+}
+
 Result<RankResult> GaussSeidelPageRankRanker::RankImpl(
     const RankContext& ctx) const {
   SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
+  ViewRowEnds rows;
   const std::vector<double> no_initial;
-  return GaussSeidelPageRank(
-      *ctx.graph, /*edge_weights=*/{}, /*jump=*/{}, options_,
+  return GaussSeidelOnAccess(
+      AccessOf(ctx, &rows), /*edge_weights=*/{}, /*jump=*/{}, options_,
       ctx.initial_scores != nullptr ? *ctx.initial_scores : no_initial);
 }
 

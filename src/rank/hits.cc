@@ -142,21 +142,12 @@ Result<HitsRanker::HubsAndAuthorities> HitsRanker::RankBothOnAccess(
 }
 
 Result<RankResult> HitsRanker::RankImpl(const RankContext& ctx) const {
-  SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false,
-                                        /*requires_venues=*/false,
-                                        /*accepts_views=*/true));
+  SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
   const size_t workers = EffectiveThreads(options_.threads, ctx);
-  HubsAndAuthorities both;
-  if (ctx.view != nullptr) {
-    ViewRowEnds rows;
-    const GraphAccess a = AccessOf(*ctx.view, &rows);
-    SCHOLAR_ASSIGN_OR_RETURN(both,
-                             RankBothOnAccess(a, workers, ctx.initial_scores));
-  } else {
-    SCHOLAR_ASSIGN_OR_RETURN(
-        both,
-        RankBothOnAccess(AccessOf(*ctx.graph), workers, ctx.initial_scores));
-  }
+  ViewRowEnds rows;
+  SCHOLAR_ASSIGN_OR_RETURN(
+      HubsAndAuthorities both,
+      RankBothOnAccess(AccessOf(ctx, &rows), workers, ctx.initial_scores));
   RankResult result;
   result.scores = std::move(both.authorities);
   result.iterations = both.iterations;

@@ -32,7 +32,6 @@ class HitsRanker : public Ranker {
 
   std::string name() const override { return "hits"; }
   Result<RankResult> RankImpl(const RankContext& ctx) const override;
-  bool SupportsSnapshotViews() const override { return true; }
 
   /// Full output including hub scores, for callers that want both sides.
   struct HubsAndAuthorities {

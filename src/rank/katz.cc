@@ -22,9 +22,7 @@ constexpr size_t kNodeGrain = 2048;
 KatzRanker::KatzRanker(KatzOptions options) : options_(options) {}
 
 Result<RankResult> KatzRanker::RankImpl(const RankContext& ctx) const {
-  SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false,
-                                        /*requires_venues=*/false,
-                                        /*accepts_views=*/true));
+  SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
   if (options_.alpha <= 0.0 || options_.alpha >= 1.0) {
     return Status::InvalidArgument("alpha must be in (0, 1), got " +
                                    std::to_string(options_.alpha));
@@ -40,8 +38,7 @@ Result<RankResult> KatzRanker::RankImpl(const RankContext& ctx) const {
       workers > 1 ? std::make_unique<ThreadPool>(workers - 1) : nullptr;
   ThreadPool* pool = owned_pool.get();
   ViewRowEnds rows;
-  const GraphAccess g = ctx.view != nullptr ? AccessOf(*ctx.view, &rows, pool)
-                                            : AccessOf(*ctx.graph);
+  const GraphAccess g = AccessOf(ctx, &rows, pool);
 
   // s <- alpha * A^T (s + 1), evaluated as a pull: v gathers
   // alpha * (s(u) + 1) over its citers u, so no write ever leaves v's slot.

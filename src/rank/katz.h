@@ -38,7 +38,6 @@ class KatzRanker : public Ranker {
   explicit KatzRanker(KatzOptions options = {});
 
   std::string name() const override { return "katz"; }
-  bool SupportsSnapshotViews() const override { return true; }
 
   const KatzOptions& options() const { return options_; }
 

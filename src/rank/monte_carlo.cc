@@ -20,8 +20,9 @@ Result<RankResult> MonteCarloPageRankRanker::RankImpl(
   if (options_.damping < 0.0 || options_.damping >= 1.0) {
     return Status::InvalidArgument("damping must be in [0, 1)");
   }
-  const CitationGraph& g = *ctx.graph;
-  const size_t n = g.num_nodes();
+  ViewRowEnds rows;
+  const GraphAccess g = AccessOf(ctx, &rows);
+  const size_t n = g.num_nodes;
   if (n == 0) return RankResult{};
 
   Rng rng(options_.seed);
@@ -33,9 +34,10 @@ Result<RankResult> MonteCarloPageRankRanker::RankImpl(
       while (true) {
         ++visits[current];
         ++total_visits;
-        auto refs = g.References(current);
-        if (refs.empty() || !rng.NextBernoulli(options_.damping)) break;
-        current = refs[rng.NextBounded(refs.size())];
+        const size_t degree = g.OutDegree(current);
+        if (degree == 0 || !rng.NextBernoulli(options_.damping)) break;
+        current = g.out_neighbors[g.out_begin[current] +
+                                  rng.NextBounded(degree)];
       }
     }
   }

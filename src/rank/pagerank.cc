@@ -310,7 +310,7 @@ Result<RankResult> WeightedPowerIterationOnView(
   // Pass 1 (parallel): *inverted* weighted out-degree over the kept row
   // prefixes (0.0 for dangling rows, so the gather term vanishes exactly).
   // Identical staging to the full-graph solver, on the same values — which
-  // is what keeps view scores bitwise equal to the materialized path.
+  // is what keeps view scores bitwise equal to the materialized snapshot's.
   s.row_weight.assign(n, 0.0);
   s.dangling.assign(n, 0);
   std::atomic<bool> negative_weight{false};
@@ -348,9 +348,7 @@ Result<RankResult> WeightedPowerIterationOnView(
 }
 
 Result<RankResult> PageRankRanker::RankImpl(const RankContext& ctx) const {
-  SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false,
-                                        /*requires_venues=*/false,
-                                        /*accepts_views=*/true));
+  SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
   PowerIterationOptions options = options_;
   options.threads = static_cast<int>(EffectiveThreads(options.threads, ctx));
   const std::vector<double> no_initial;

@@ -143,7 +143,6 @@ class PageRankRanker : public Ranker {
 
   std::string name() const override { return "pagerank"; }
   Result<RankResult> RankImpl(const RankContext& ctx) const override;
-  bool SupportsSnapshotViews() const override { return true; }
 
   const PowerIterationOptions& options() const { return options_; }
 

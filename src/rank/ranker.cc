@@ -18,6 +18,10 @@ Year RankContext::EffectiveNow() const {
   return graph != nullptr ? graph->max_year() : view->max_year();
 }
 
+NodeId RankContext::ToParent(NodeId s) const {
+  return view != nullptr ? view->ToParent(s) : s;
+}
+
 Ranker::~Ranker() = default;
 
 namespace {
@@ -91,7 +95,7 @@ std::vector<NodeId> TopK(const std::vector<double>& scores, size_t k) {
 }
 
 Status ValidateContext(const RankContext& ctx, bool requires_authors,
-                       bool requires_venues, bool accepts_views) {
+                       bool requires_venues) {
   if (ctx.graph == nullptr && ctx.view == nullptr) {
     return Status::InvalidArgument("RankContext.graph is null");
   }
@@ -99,20 +103,22 @@ Status ValidateContext(const RankContext& ctx, bool requires_authors,
     return Status::InvalidArgument(
         "RankContext sets both graph and view; set exactly one");
   }
-  if (ctx.view != nullptr && !accepts_views) {
-    return Status::InvalidArgument(
-        "this ranker does not support snapshot views (RankContext.view)");
-  }
   const size_t n = ctx.NumNodes();
+  // authors and venues are indexed by parent id, so under a view they cover
+  // the view's whole parent graph.
+  const size_t parent_n =
+      ctx.view != nullptr && ctx.view->temporal_csr() != nullptr
+          ? ctx.view->temporal_csr()->sorted_graph().num_nodes()
+          : n;
   if (requires_authors) {
     if (ctx.authors == nullptr) {
       return Status::InvalidArgument(
           "this ranker requires a paper-author map (RankContext.authors)");
     }
-    if (ctx.authors->num_papers() != n) {
+    if (ctx.authors->num_papers() != parent_n) {
       return Status::InvalidArgument(
           "author map covers " + std::to_string(ctx.authors->num_papers()) +
-          " papers but graph has " + std::to_string(n));
+          " papers but graph has " + std::to_string(parent_n));
     }
   }
   if (requires_venues) {
@@ -120,10 +126,10 @@ Status ValidateContext(const RankContext& ctx, bool requires_authors,
       return Status::InvalidArgument(
           "this ranker requires per-article venues (RankContext.venues)");
     }
-    if (ctx.venues->size() != n) {
+    if (ctx.venues->size() != parent_n) {
       return Status::InvalidArgument(
           "venue vector covers " + std::to_string(ctx.venues->size()) +
-          " articles but graph has " + std::to_string(n));
+          " articles but graph has " + std::to_string(parent_n));
     }
   }
   if (ctx.initial_scores != nullptr && ctx.initial_scores->size() != n) {
@@ -132,6 +138,12 @@ Status ValidateContext(const RankContext& ctx, bool requires_authors,
         " entries but graph has " + std::to_string(n));
   }
   return Status::OK();
+}
+
+GraphAccess AccessOf(const RankContext& ctx, ViewRowEnds* rows,
+                     ThreadPool* pool) {
+  return ctx.view != nullptr ? AccessOf(*ctx.view, rows, pool)
+                             : AccessOf(*ctx.graph);
 }
 
 size_t EffectiveThreads(int option_threads, const RankContext& ctx) {

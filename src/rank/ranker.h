@@ -6,6 +6,7 @@
 
 #include "graph/bipartite.h"
 #include "graph/citation_graph.h"
+#include "graph/graph_access.h"
 #include "util/status.h"
 
 namespace scholar {
@@ -20,23 +21,24 @@ class TwprWeightCache;         // rank/time_weighted_pagerank.h
 /// as Status, not crashes.
 struct RankContext {
   const CitationGraph* graph = nullptr;
-  /// Zero-copy temporal snapshot to rank instead of a full graph. Only
-  /// rankers whose SupportsSnapshotViews() returns true accept it; node ids
-  /// in scores/initial_scores are the view's (sorted-space) ids. Mutually
-  /// exclusive with `graph`.
+  /// Zero-copy temporal snapshot to rank instead of a full graph; every
+  /// ranker accepts one. Node ids in scores/initial_scores are the view's
+  /// (sorted-space) ids. Mutually exclusive with `graph`.
   const SnapshotView* view = nullptr;
-  /// Optional paper-author map; `authors->num_papers()` must equal
-  /// `graph->num_nodes()` when present.
+  /// Optional paper-author map, indexed by parent id (see ToParent): its
+  /// `num_papers()` must equal the node count of `graph`, or of the view's
+  /// parent graph, when present.
   const PaperAuthors* authors = nullptr;
-  /// Optional per-article venue index (-1 = unknown); size must equal
-  /// `graph->num_nodes()` when present. Required by VenueRank.
+  /// Optional per-article venue index (-1 = unknown), indexed by parent id
+  /// like `authors` and sized the same way. Required by VenueRank.
   const std::vector<int32_t>* venues = nullptr;
-  /// "Current" year for recency terms; defaults to graph->max_year().
+  /// "Current" year for recency terms; defaults to the graph's or view's
+  /// max_year().
   Year now_year = kUnknownYear;
   /// Optional warm-start hint: a previous score vector for (a supergraph
   /// of) this graph. Iterative rankers may seed their power iteration from
   /// it to converge in fewer rounds; it never changes the fixed point.
-  /// Size must equal `graph->num_nodes()` when present.
+  /// Size must equal NumNodes() when present.
   const std::vector<double>* initial_scores = nullptr;
   /// Optional reusable solver state (buffers + worker pool) for
   /// power-iteration rankers; the ensemble shares one across its snapshot
@@ -59,6 +61,10 @@ struct RankContext {
 
   /// now_year with the default applied (graph/view max_year()).
   Year EffectiveNow() const;
+
+  /// Index of ranked node `s` into `authors` and `venues`: the view's parent
+  /// id, or `s` itself when ranking a full graph.
+  NodeId ToParent(NodeId s) const;
 };
 
 /// Output of one ranking run.
@@ -93,7 +99,7 @@ class Ranker {
   /// in experiment output.
   virtual std::string name() const = 0;
 
-  /// Ranks all articles of `ctx.graph`.
+  /// Ranks all articles of `ctx.graph` or `ctx.view`.
   Result<RankResult> Rank(const RankContext& ctx) const {
     return RankImpl(ctx);
   }
@@ -104,11 +110,6 @@ class Ranker {
     ctx.graph = &graph;
     return RankImpl(ctx);
   }
-
-  /// True when RankImpl accepts RankContext.view (a zero-copy temporal
-  /// snapshot) in place of a full graph. Callers like the ensemble use this
-  /// to decide between the view path and materialized snapshots.
-  virtual bool SupportsSnapshotViews() const { return false; }
 
  private:
   /// The algorithm. Implementations validate the context themselves (see
@@ -136,12 +137,15 @@ std::vector<double> MidrankPercentiles(const std::vector<double>& scores);
 std::vector<NodeId> TopK(const std::vector<double>& scores, size_t k);
 
 /// Validates a context (exactly one of graph/view set, optional-field
-/// shapes). Shared by ranker implementations. Rankers that rank views pass
-/// `accepts_views = true`; everyone else rejects a view context with
-/// InvalidArgument.
+/// shapes). Shared by ranker implementations.
 Status ValidateContext(const RankContext& ctx, bool requires_authors,
-                       bool requires_venues = false,
-                       bool accepts_views = false);
+                       bool requires_venues = false);
+
+/// The adjacency a ranker iterates: the graph's own CSR, or, for a view, the
+/// parent CSR cut to the view's row prefixes (stored in `rows`, built over
+/// `pool` when given). Borrows the context's graph or view.
+GraphAccess AccessOf(const RankContext& ctx, ViewRowEnds* rows,
+                     ThreadPool* pool = nullptr);
 
 /// Worker count a ranker should use: `option_threads` resolved (0 = auto =
 /// hardware concurrency) and clamped by `ctx.max_threads`. Shared by every

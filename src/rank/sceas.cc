@@ -22,9 +22,7 @@ constexpr size_t kNodeGrain = 2048;
 SceasRanker::SceasRanker(SceasOptions options) : options_(options) {}
 
 Result<RankResult> SceasRanker::RankImpl(const RankContext& ctx) const {
-  SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false,
-                                        /*requires_venues=*/false,
-                                        /*accepts_views=*/true));
+  SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
   if (options_.a <= 1.0) {
     return Status::InvalidArgument(
         "a must be > 1 for the SceasRank iteration to contract, got " +
@@ -44,8 +42,7 @@ Result<RankResult> SceasRanker::RankImpl(const RankContext& ctx) const {
       workers > 1 ? std::make_unique<ThreadPool>(workers - 1) : nullptr;
   ThreadPool* pool = owned_pool.get();
   ViewRowEnds rows;
-  const GraphAccess g = ctx.view != nullptr ? AccessOf(*ctx.view, &rows, pool)
-                                            : AccessOf(*ctx.graph);
+  const GraphAccess g = AccessOf(ctx, &rows, pool);
 
   // s(v) = Σ_{u cites v} (s(u) + b) / (a · outdeg(u)), evaluated as a pull
   // over the in-CSR with the per-source share hoisted into share[] — no

@@ -39,7 +39,6 @@ class SceasRanker : public Ranker {
   explicit SceasRanker(SceasOptions options = {});
 
   std::string name() const override { return "sceas"; }
-  bool SupportsSnapshotViews() const override { return true; }
 
   const SceasOptions& options() const { return options_; }
 

@@ -113,9 +113,7 @@ const TwprWeightCache::Weights& TwprWeightCache::GetOrCompute(
 }
 
 Result<RankResult> TimeWeightedPageRank::RankImpl(const RankContext& ctx) const {
-  SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false,
-                                        /*requires_venues=*/false,
-                                        /*accepts_views=*/true));
+  SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
   if (options_.sigma < 0.0) {
     return Status::InvalidArgument("sigma must be >= 0, got " +
                                    std::to_string(options_.sigma));

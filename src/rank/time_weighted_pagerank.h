@@ -43,7 +43,6 @@ class TimeWeightedPageRank : public Ranker {
 
   std::string name() const override { return "twpr"; }
   Result<RankResult> RankImpl(const RankContext& ctx) const override;
-  bool SupportsSnapshotViews() const override { return true; }
 
   const TwprOptions& options() const { return options_; }
 

@@ -20,17 +20,20 @@ Result<RankResult> VenueRankRanker::RankImpl(const RankContext& ctx) const {
   if (options_.iterations <= 0) {
     return Status::InvalidArgument("iterations must be positive");
   }
-  const CitationGraph& g = *ctx.graph;
-  const std::vector<int32_t>& venues = *ctx.venues;
-  const size_t n = g.num_nodes();
+  ViewRowEnds rows;
+  const GraphAccess g = AccessOf(ctx, &rows);
+  const size_t n = g.num_nodes;
   if (n == 0) return RankResult{};
 
+  // The venue map is indexed by parent id: gather the ranked articles'.
+  std::vector<int32_t> venues(n);
   int32_t max_venue = -1;
-  for (int32_t v : venues) {
-    if (v < -1) {
+  for (NodeId i = 0; i < n; ++i) {
+    venues[i] = (*ctx.venues)[ctx.ToParent(i)];
+    if (venues[i] < -1) {
       return Status::InvalidArgument("venue index below -1");
     }
-    max_venue = std::max(max_venue, v);
+    max_venue = std::max(max_venue, venues[i]);
   }
   const size_t num_venues = static_cast<size_t>(max_venue) + 1;
 
@@ -39,7 +42,7 @@ Result<RankResult> VenueRankRanker::RankImpl(const RankContext& ctx) const {
   const Year now = ctx.EffectiveNow();
   std::vector<double> cite_evidence(n);
   for (NodeId i = 0; i < n; ++i) {
-    const double age = std::max(1, now - g.year(i) + 1);
+    const double age = std::max(1, now - g.years[i] + 1);
     cite_evidence[i] = static_cast<double>(g.InDegree(i)) / age;
   }
   cite_evidence = MidrankPercentiles(cite_evidence);

@@ -13,6 +13,7 @@ namespace scholar {
 
 size_t ResolveThreads(int threads) {
   if (threads >= 1) return static_cast<size_t>(threads);
+  if (threads < 0) return 1;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }

@@ -10,7 +10,8 @@ namespace scholar {
 
 /// Worker count a `threads` knob resolves to: values >= 1 are taken
 /// verbatim; 0 (the "auto" default of every ranking option struct) means
-/// std::thread::hardware_concurrency(), with a floor of 1.
+/// std::thread::hardware_concurrency(), with a floor of 1; negative values
+/// mean serial (1).
 size_t ResolveThreads(int threads);
 
 /// Number of grain-sized chunks covering [0, n). A pure function of

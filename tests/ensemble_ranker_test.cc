@@ -6,6 +6,7 @@
 
 #include "data/synthetic.h"
 #include "eval/cohort.h"
+#include "graph/temporal_csr.h"
 #include "rank/citation_count.h"
 #include "rank/pagerank.h"
 #include "rank/time_weighted_pagerank.h"
@@ -217,6 +218,15 @@ TEST(EnsembleRankerTest, EmptyGraph) {
   EXPECT_TRUE(r.scores.empty());
 }
 
+TEST(EnsembleRankerTest, RejectsSnapshotView) {
+  CitationGraph g = MakeTinyGraph();
+  TemporalCsr tcsr(g);
+  SnapshotView view = tcsr.MakeView(2003);
+  RankContext ctx;
+  ctx.view = &view;
+  EXPECT_TRUE(EnsembleRanker(PageRank()).Rank(ctx).status().IsInvalidArgument());
+}
+
 TEST(EnsembleRankerTest, WorksWithCitationCountBase) {
   CitationGraph g = MakeRandomGraph(200, 3, 1990, 10, 9);
   EnsembleRanker ens(std::make_shared<CitationCountRanker>());
@@ -231,20 +241,6 @@ TEST(EnsembleRankerTest, TwprBaseConverges) {
   RankResult r = ens.Rank(g).value();
   EXPECT_TRUE(r.converged);
   EXPECT_GT(r.iterations, 0);
-}
-
-TEST(RestrictAuthorsTest, KeepsOnlySnapshotPapers) {
-  PaperAuthors parent = PaperAuthors::FromLists({{0}, {1}, {0, 2}, {2}});
-  // Snapshot keeps parent papers 1 and 2.
-  PaperAuthors sub = RestrictAuthorsToSnapshot(parent, {1, 2});
-  EXPECT_EQ(sub.num_papers(), 2u);
-  auto a0 = sub.AuthorsOf(0);
-  ASSERT_EQ(a0.size(), 1u);
-  EXPECT_EQ(a0[0], 1u);
-  auto a1 = sub.AuthorsOf(1);
-  ASSERT_EQ(a1.size(), 2u);
-  EXPECT_EQ(a1[0], 0u);
-  EXPECT_EQ(a1[1], 2u);
 }
 
 TEST(EnsembleParallelTest, IndependentSnapshotsBitIdenticalAcrossThreads) {

@@ -1,23 +1,24 @@
-// Property tests for the ensemble's zero-copy temporal-view path: it must
-// be bitwise indistinguishable from the legacy materialized-snapshot path
-// (options.materialize_snapshots — the oracle) on every graph, slice
-// count, thread count, warm-start mode, and view-capable base ranker.
+// Property tests for the ensemble's zero-copy temporal views: every base
+// ranker must score a SnapshotView bitwise like the materialized snapshot
+// it stands for, on every graph, slice count, thread count, warm-start
+// mode, normalization scope, combiner and window. The oracle is a
+// test-local base wrapper that ranks ExtractSnapshot of each view instead
+// of the view itself.
 
 #include "ensemble/ensemble_ranker.h"
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "core/registry.h"
-#include "rank/hits.h"
-#include "rank/katz.h"
-#include "rank/pagerank.h"
-#include "rank/sceas.h"
+#include "graph/temporal_csr.h"
+#include "graph/time_slicer.h"
 #include "rank/time_weighted_pagerank.h"
 #include "test_util.h"
-#include "util/config.h"
+#include "util/rng.h"
 
 namespace scholar {
 namespace {
@@ -25,24 +26,95 @@ namespace {
 using testing_util::MakeRandomGraph;
 using testing_util::MakeShuffledYearGraph;
 
-/// Runs one EnsembleOptions config in both modes and requires bitwise
-/// equality of scores and per-snapshot details.
+/// Oracle base: ranks the materialized copy of each view — ExtractSnapshot
+/// of the view's sorted parent, so node ids stay the view's — through the
+/// wrapped base's full-graph path. The author and venue maps, which a view
+/// leaves indexed by parent id, are restricted to the snapshot's papers.
+class MaterializingRanker : public Ranker {
+ public:
+  explicit MaterializingRanker(std::shared_ptr<const Ranker> base)
+      : base_(std::move(base)) {}
+
+  std::string name() const override { return base_->name(); }
+
+ private:
+  Result<RankResult> RankImpl(const RankContext& ctx) const override {
+    if (ctx.view == nullptr) {
+      return Status::InvalidArgument("the oracle ranks snapshot views only");
+    }
+    const SnapshotView& view = *ctx.view;
+    const Snapshot snap = ExtractSnapshot(view.temporal_csr()->sorted_graph(),
+                                          view.boundary_year());
+    RankContext sub = ctx;
+    sub.view = nullptr;
+    sub.twpr_cache = nullptr;
+    sub.graph = &snap.graph;
+    PaperAuthors authors;
+    if (ctx.authors != nullptr) {
+      std::vector<std::vector<AuthorId>> lists(snap.to_parent.size());
+      for (size_t s = 0; s < lists.size(); ++s) {
+        auto span = ctx.authors->AuthorsOf(view.ToParent(snap.to_parent[s]));
+        lists[s].assign(span.begin(), span.end());
+      }
+      authors = PaperAuthors::FromLists(lists);
+      sub.authors = &authors;
+    }
+    std::vector<int32_t> venues;
+    if (ctx.venues != nullptr) {
+      for (NodeId s : snap.to_parent) {
+        venues.push_back((*ctx.venues)[view.ToParent(s)]);
+      }
+      sub.venues = &venues;
+    }
+    return base_->Rank(sub);
+  }
+
+  std::shared_ptr<const Ranker> base_;
+};
+
+/// Author and venue maps for an n-article graph: 0–3 authors per paper
+/// from a pool of n/4 (repeats allowed), venues in [-1, 6).
+struct CorpusMaps {
+  PaperAuthors authors;
+  std::vector<int32_t> venues;
+};
+
+CorpusMaps MakeCorpusMaps(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<AuthorId>> lists(n);
+  CorpusMaps maps;
+  for (size_t p = 0; p < n; ++p) {
+    const size_t count = rng.NextBounded(4);
+    for (size_t i = 0; i < count; ++i) {
+      lists[p].push_back(static_cast<AuthorId>(rng.NextBounded(n / 4 + 1)));
+    }
+    maps.venues.push_back(static_cast<int32_t>(rng.NextBounded(7)) - 1);
+  }
+  maps.authors = PaperAuthors::FromLists(lists);
+  return maps;
+}
+
+/// Ranks one EnsembleOptions config with `base` and with its oracle and
+/// requires bitwise equality of scores and per-snapshot details.
 void ExpectViewMatchesMaterialized(std::shared_ptr<const Ranker> base,
                                    const CitationGraph& g,
-                                   EnsembleOptions options,
-                                   const std::string& label) {
+                                   const EnsembleOptions& options,
+                                   const std::string& label,
+                                   const CorpusMaps* maps = nullptr) {
   RankContext ctx;
   ctx.graph = &g;
+  if (maps != nullptr) {
+    ctx.authors = &maps->authors;
+    ctx.venues = &maps->venues;
+  }
 
-  options.materialize_snapshots = false;
   EnsembleRanker view_ens(base, options);
   std::vector<EnsembleRanker::SnapshotDetail> view_details;
   Result<RankResult> view_result = view_ens.RankWithDetails(ctx, &view_details);
   ASSERT_TRUE(view_result.ok()) << label << ": "
                                 << view_result.status().ToString();
 
-  options.materialize_snapshots = true;
-  EnsembleRanker mat_ens(base, options);
+  EnsembleRanker mat_ens(std::make_shared<MaterializingRanker>(base), options);
   std::vector<EnsembleRanker::SnapshotDetail> mat_details;
   Result<RankResult> mat_result = mat_ens.RankWithDetails(ctx, &mat_details);
   ASSERT_TRUE(mat_result.ok()) << label << ": "
@@ -50,7 +122,7 @@ void ExpectViewMatchesMaterialized(std::shared_ptr<const Ranker> base,
 
   EXPECT_EQ(view_result.value().iterations, mat_result.value().iterations)
       << label;
-  // Bitwise, not approximate: both modes must execute identical arithmetic.
+  // Bitwise, not approximate: both must execute identical arithmetic.
   EXPECT_TRUE(view_result.value().scores == mat_result.value().scores)
       << label;
 
@@ -104,24 +176,31 @@ TEST(EnsembleViewTest, MatchesMaterializedOnYearMonotoneGraphs) {
 }
 
 TEST(EnsembleViewTest, MatchesMaterializedForEveryViewCapableBase) {
+  // Every registered base ranks views; the shuffled corpus carries the
+  // author and venue maps FutureRank and VenueRank need.
   CitationGraph g = MakeShuffledYearGraph(220, 3.0, 2001, 9, 4);
-  std::vector<std::shared_ptr<const Ranker>> bases = {
-      std::make_shared<PageRankRanker>(),
-      TwprBase(),
-      std::make_shared<HitsRanker>(),
-      std::make_shared<KatzRanker>(),
-      std::make_shared<SceasRanker>(),
-  };
-  for (const auto& base : bases) {
-    for (bool warm : {false, true}) {
-      EnsembleOptions o;
-      o.num_slices = 4;
-      o.threads = 4;
-      o.warm_start = warm;
-      ExpectViewMatchesMaterialized(
-          base, g, o, base->name() + " warm=" + std::to_string(warm));
+  const CorpusMaps maps = MakeCorpusMaps(g.num_nodes(), 4);
+  size_t bases = 0;
+  for (const std::string& name : KnownRankerNames()) {
+    if (name.starts_with("ens_")) continue;
+    Result<std::shared_ptr<const Ranker>> base = MakeRanker(name);
+    ASSERT_TRUE(base.ok()) << name << ": " << base.status().ToString();
+    ++bases;
+    for (int threads : {1, 4}) {
+      for (bool warm : {false, true}) {
+        EnsembleOptions o;
+        o.num_slices = 4;
+        o.threads = threads;
+        o.warm_start = warm;
+        ExpectViewMatchesMaterialized(
+            base.value(), g, o,
+            name + " threads=" + std::to_string(threads) +
+                " warm=" + std::to_string(warm),
+            &maps);
+      }
     }
   }
+  EXPECT_EQ(bases, 12u);
 }
 
 TEST(EnsembleViewTest, MatchesMaterializedAcrossScopesCombinersAndWindow) {
@@ -169,36 +248,6 @@ TEST(EnsembleViewTest, ViewPathIsThreadCountInvariant) {
       }
     }
   }
-}
-
-TEST(EnsembleViewTest, NonViewBaseStillWorksViaLegacyFallback) {
-  // cc has no view support, so the ensemble silently takes the legacy
-  // materialized path; the result must simply be well-formed.
-  CitationGraph g = MakeShuffledYearGraph(150, 2.0, 2000, 8, 7);
-  Result<std::shared_ptr<const Ranker>> ens = MakeRanker("ens_cc");
-  ASSERT_TRUE(ens.ok());
-  RankContext ctx;
-  ctx.graph = &g;
-  Result<RankResult> result = ens.value()->Rank(ctx);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value().scores.size(), g.num_nodes());
-}
-
-TEST(EnsembleViewTest, RegistryParsesMaterializeSnapshotsKnob) {
-  Config config;
-  config.SetBool("materialize_snapshots", true);
-  Result<std::shared_ptr<const Ranker>> r = MakeRanker("ens_twpr", config);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const auto* ens = dynamic_cast<const EnsembleRanker*>(r.value().get());
-  ASSERT_NE(ens, nullptr);
-  EXPECT_TRUE(ens->options().materialize_snapshots);
-
-  Result<std::shared_ptr<const Ranker>> def = MakeRanker("ens_twpr");
-  ASSERT_TRUE(def.ok());
-  const auto* def_ens =
-      dynamic_cast<const EnsembleRanker*>(def.value().get());
-  ASSERT_NE(def_ens, nullptr);
-  EXPECT_FALSE(def_ens->options().materialize_snapshots);
 }
 
 }  // namespace

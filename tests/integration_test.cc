@@ -1,15 +1,22 @@
 /// End-to-end pipeline tests: generate a realistic corpus, run the paper's
 /// method and the baselines, and check the paper's qualitative claims at
 /// small scale (the bench harness re-checks them at full scale).
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
 #include "core/scholar_ranker.h"
+#include "data/dataset.h"
 #include "data/profiles.h"
 #include "data/synthetic.h"
 #include "eval/benchmark_sets.h"
 #include "eval/cohort.h"
 #include "graph/graph_io.h"
+#include "graph/temporal_csr.h"
+#include "util/rng.h"
 
 namespace scholar {
 namespace {
@@ -107,6 +114,52 @@ TEST_F(IntegrationTest, FacadeAgreesWithRegistry) {
   ctx.authors = &corpus_->authors;
   auto direct_result = direct->Rank(ctx).value();
   EXPECT_EQ(out.scores, direct_result.scores);
+}
+
+TEST_F(IntegrationTest, ShuffledCorpusGetsOneAnswerPerGraph) {
+  // The corpus as an AMiner file whose records are out of publication
+  // order: its node ids are not year-monotone, and it carries authors and
+  // venues.
+  std::ostringstream text;
+  ASSERT_TRUE(WriteAMinerCorpus(*corpus_, &text).ok());
+  const std::string all = std::move(text).str();
+  // Every record the writer emits ends in a blank line.
+  std::vector<std::string> records;
+  size_t begin = 0;
+  for (size_t end; (end = all.find("\n\n", begin)) != std::string::npos;
+       begin = end + 2) {
+    records.push_back(all.substr(begin, end + 2 - begin));
+  }
+  Rng rng(5);
+  rng.Shuffle(&records);
+  std::string joined;
+  for (const std::string& record : records) joined += record;
+  std::istringstream shuffled_text(joined);
+  const Corpus shuffled = ReadAMinerCorpus(&shuffled_text, "shuffled").value();
+  ASSERT_FALSE(TemporalCsr(shuffled.graph).is_identity());
+  ASSERT_TRUE(shuffled.has_authors());
+  ASSERT_FALSE(shuffled.venues.empty());
+
+  // The maps RankCorpus adds must not change ens_twpr's answer. The max
+  // normalizer keeps raw score values, so it also shows a difference in
+  // summation order that rank percentiles would hide.
+  for (const char* normalizer : {"percentile", "max"}) {
+    Config config;
+    config.Set("normalizer", normalizer);
+    ScholarRanker facade = ScholarRanker::Create(config).value();
+    RankingOutput with_maps = facade.RankCorpus(shuffled).value();
+    RankingOutput graph_only = facade.RankGraph(shuffled.graph).value();
+    EXPECT_TRUE(with_maps.scores == graph_only.scores) << normalizer;
+  }
+
+  for (const char* name : {"ens_futurerank", "ens_venuerank"}) {
+    Config config;
+    config.Set("ranker", name);
+    Result<RankingOutput> out =
+        ScholarRanker::Create(config).value().RankCorpus(shuffled);
+    ASSERT_TRUE(out.ok()) << name << ": " << out.status().ToString();
+    EXPECT_EQ(out.value().scores.size(), shuffled.num_articles()) << name;
+  }
 }
 
 TEST_F(IntegrationTest, TwprIsAtLeastAsGoodAsPageRankOnRecent) {

@@ -141,11 +141,11 @@ TEST(TemporalCsrTest, IdentityViewsMatchMaterializedOracle) {
   }
 }
 
-// -- Kernel bit-identity: every view-capable ranker must produce exactly
+// -- Kernel bit-identity: every threaded kernel ranker must produce exactly
 // -- the scores it produces on the materialized snapshot of the same
 // -- prefix, at every thread count.
 
-std::vector<std::shared_ptr<const Ranker>> ViewCapableRankers(int threads) {
+std::vector<std::shared_ptr<const Ranker>> ThreadedKernelRankers(int threads) {
   PowerIterationOptions power;
   power.threads = threads;
   TwprOptions twpr;
@@ -177,7 +177,7 @@ TEST(TemporalCsrTest, ViewRankingIsBitIdenticalToMaterialized) {
       ASSERT_EQ(view.num_nodes(), snap.graph.num_nodes());
       if (view.num_nodes() == 0) continue;
       for (int threads : {1, 2, 4, 8}) {
-        for (const auto& ranker : ViewCapableRankers(threads)) {
+        for (const auto& ranker : ThreadedKernelRankers(threads)) {
           RankContext view_ctx;
           view_ctx.view = &view;
           view_ctx.now_year = boundary;
@@ -216,7 +216,7 @@ TEST(TemporalCsrTest, ViewRankingIsThreadCountInvariant) {
   ASSERT_GT(view.num_nodes(), 0u);
   std::vector<std::vector<double>> per_thread_scores;
   for (int threads : {1, 2, 4, 8}) {
-    for (const auto& ranker : ViewCapableRankers(threads)) {
+    for (const auto& ranker : ThreadedKernelRankers(threads)) {
       RankContext ctx;
       ctx.view = &view;
       ctx.now_year = 2005;

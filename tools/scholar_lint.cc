@@ -23,9 +23,8 @@
 //                  no ExtractSnapshot() calls outside the time-slicer
 //                  itself; ranking code must consume zero-copy
 //                  TemporalCsr/SnapshotView prefixes. Materializing costs
-//                  O(V+E) per snapshot and is reserved for oracle checks
-//                  and the legacy fallback, which say so with a
-//                  marker: NOLINT(materialize-snapshot).
+//                  O(V+E) per snapshot and is reserved for the oracle
+//                  checks in tests/, which this pass does not scan.
 //   include-layering
 //                  the module DAG util -> graph -> {data, rank} ->
 //                  {ensemble, eval} -> core -> stream -> serve -> cli
@@ -689,10 +688,9 @@ void CheckIncludeOrder(const LexedFile& f, Reporter* rep) {
 // ---------------------------------------------------------------------------
 
 /// Flags ExtractSnapshot() call sites outside src/graph/time_slicer.{h,cc}.
-/// Each snapshot materialization copies O(V+E); the ensemble's zero-copy
-/// TemporalCsr views exist so ranking code never pays that. Oracle
-/// comparisons (tests, benches) and the legacy fallback are legitimate —
-/// they carry NOLINT(materialize-snapshot).
+/// Each snapshot materialization copies O(V+E); every ranker takes the
+/// ensemble's zero-copy TemporalCsr views, so ranking code never pays that.
+/// The materialized oracle lives in tests/.
 void CheckMaterializeSnapshot(const LexedFile& f, Reporter* rep) {
   if (PathContains(f.path, "src/graph/time_slicer.h") ||
       PathContains(f.path, "src/graph/time_slicer.cc")) {
@@ -708,8 +706,7 @@ void CheckMaterializeSnapshot(const LexedFile& f, Reporter* rep) {
     if (!call) continue;  // declaration mention, qualified name, comment-free doc
     rep->Report(t[i].line, "materialize-snapshot",
                 "ExtractSnapshot() copies O(V+E) per snapshot; rank through "
-                "zero-copy TemporalCsr::MakeView() instead, or mark oracle/"
-                "legacy sites with NOLINT(materialize-snapshot)");
+                "zero-copy TemporalCsr::MakeView() instead");
   }
 }
 
