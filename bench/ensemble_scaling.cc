@@ -136,10 +136,13 @@ SetupStats MeasureSetup(const CitationGraph& g,
   return stats;
 }
 
+/// `threads` bounds both levels: the ensemble's workers and each solve's
+/// own pool (0 would mean every core), so the 1-thread row is serial.
 EnsembleRanker MakeEnsemble(int threads) {
   TwprOptions twpr;
   twpr.power.tolerance = 0.0;  // fixed work at every thread count
   twpr.power.max_iterations = kFixedIterations;
+  twpr.power.threads = threads;
   EnsembleOptions o;
   o.num_slices = kNumSlices;
   o.warm_start = false;  // snapshots rank concurrently — the hard mode

@@ -17,11 +17,26 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data), size);
   std::istringstream in(bytes);
   auto corpus = scholar::ReadAMinerCorpus(&in, "fuzz");
-  if (corpus.ok()) {
-    // A corpus the reader accepts must satisfy its own invariants; a parse
-    // that "succeeds" into an inconsistent corpus is as bad as a crash.
-    scholar::Status check = corpus.value().ConsistencyCheck();
-    if (!check.ok()) __builtin_trap();
+  if (!corpus.ok()) return 0;
+  // A corpus the reader accepts must satisfy its own invariants; a parse
+  // that "succeeds" into an inconsistent corpus is as bad as a crash.
+  scholar::Status check = corpus.value().ConsistencyCheck();
+  if (!check.ok()) __builtin_trap();
+
+  // It must also survive its own writer: the written text reads back to
+  // the same graph, ids, venues, titles and author incidence.
+  std::stringstream text;
+  if (!scholar::WriteAMinerCorpus(corpus.value(), &text).ok()) {
+    __builtin_trap();
+  }
+  auto back = scholar::ReadAMinerCorpus(&text, "fuzz");
+  if (!back.ok()) __builtin_trap();
+  const scholar::Corpus& a = corpus.value();
+  const scholar::Corpus& b = back.value();
+  if (!(a.graph == b.graph) || a.external_ids != b.external_ids ||
+      a.venues != b.venues || a.venue_names != b.venue_names ||
+      a.titles != b.titles || !(a.authors == b.authors)) {
+    __builtin_trap();
   }
   return 0;
 }

@@ -63,6 +63,11 @@ struct Corpus {
 /// Unknown tags are ignored. References to articles absent from the file
 /// are dropped (their count is logged); articles without a year get
 /// kUnknownYear replaced by the corpus minimum year.
+///
+/// Both entry points read the whole input in blocks into one buffer (no
+/// seeks, so pipes work) and parse it in one pass; the buffer is freed
+/// before the graph is built. A failed read is IOError; malformed text is
+/// the Status of its first bad line or record, in file order.
 Result<Corpus> ReadAMinerCorpus(std::istream* in, const std::string& name);
 Result<Corpus> ReadAMinerCorpusFile(const std::string& path);
 

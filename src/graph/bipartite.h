@@ -1,8 +1,10 @@
 #ifndef SCHOLARRANK_GRAPH_BIPARTITE_H_
 #define SCHOLARRANK_GRAPH_BIPARTITE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -14,7 +16,7 @@ using AuthorId = uint32_t;
 
 /// Paper-author bipartite incidence in CSR form, used by FutureRank.
 ///
-/// Immutable after FromLists(). Both directions are materialized: authors of
+/// Immutable once built. Both directions are materialized: authors of
 /// a paper, and papers of an author.
 class PaperAuthors {
  public:
@@ -25,37 +27,44 @@ class PaperAuthors {
   /// num_authors()-1.
   static PaperAuthors FromLists(
       const std::vector<std::vector<AuthorId>>& lists) {
-    PaperAuthors pa;
-    const size_t n = lists.size();
-    pa.paper_offsets_.assign(n + 1, 0);
-    AuthorId max_author = 0;
-    bool any = false;
-    for (size_t p = 0; p < n; ++p) {
-      pa.paper_offsets_[p + 1] = pa.paper_offsets_[p] + lists[p].size();
-      for (AuthorId a : lists[p]) {
-        pa.paper_authors_.push_back(a);
-        if (a > max_author) max_author = a;
-        any = true;
-      }
+    std::vector<uint64_t> offsets(lists.size() + 1, 0);
+    for (size_t p = 0; p < lists.size(); ++p) {
+      offsets[p + 1] = offsets[p] + lists[p].size();
     }
-    pa.num_authors_ = any ? static_cast<size_t>(max_author) + 1 : 0;
+    std::vector<AuthorId> flat;
+    flat.reserve(offsets.back());
+    for (const auto& list : lists) {
+      flat.insert(flat.end(), list.begin(), list.end());
+    }
+    return PaperAuthors(std::move(offsets), std::move(flat));
+  }
 
-    pa.author_offsets_.assign(pa.num_authors_ + 1, 0);
-    for (AuthorId a : pa.paper_authors_) ++pa.author_offsets_[a + 1];
-    for (size_t i = 1; i <= pa.num_authors_; ++i) {
-      pa.author_offsets_[i] += pa.author_offsets_[i - 1];
+  /// Builds from per-paper CSR arrays: paper p's authors are
+  /// `paper_authors[paper_offsets[p] .. paper_offsets[p + 1])`. Trusted:
+  /// `paper_offsets` starts at 0, never decreases and ends at
+  /// `paper_authors.size()`. Author ids may be sparse, as in FromLists.
+  PaperAuthors(std::vector<uint64_t> paper_offsets,
+               std::vector<AuthorId> paper_authors)
+      : paper_offsets_(std::move(paper_offsets)),
+        paper_authors_(std::move(paper_authors)) {
+    AuthorId max_author = 0;
+    for (AuthorId a : paper_authors_) max_author = std::max(max_author, a);
+    num_authors_ =
+        paper_authors_.empty() ? 0 : static_cast<size_t>(max_author) + 1;
+
+    author_offsets_.assign(num_authors_ + 1, 0);
+    for (AuthorId a : paper_authors_) ++author_offsets_[a + 1];
+    for (size_t i = 1; i <= num_authors_; ++i) {
+      author_offsets_[i] += author_offsets_[i - 1];
     }
-    std::vector<uint64_t> cursor(pa.author_offsets_.begin(),
-                                 pa.author_offsets_.end() - 1);
-    pa.author_papers_.resize(pa.paper_authors_.size());
-    for (size_t p = 0; p < n; ++p) {
-      for (uint64_t e = pa.paper_offsets_[p]; e < pa.paper_offsets_[p + 1];
-           ++e) {
-        AuthorId a = pa.paper_authors_[e];
-        pa.author_papers_[cursor[a]++] = static_cast<NodeId>(p);
+    std::vector<uint64_t> cursor(author_offsets_.begin(),
+                                 author_offsets_.end() - 1);
+    author_papers_.resize(paper_authors_.size());
+    for (size_t p = 0; p + 1 < paper_offsets_.size(); ++p) {
+      for (uint64_t e = paper_offsets_[p]; e < paper_offsets_[p + 1]; ++e) {
+        author_papers_[cursor[paper_authors_[e]]++] = static_cast<NodeId>(p);
       }
     }
-    return pa;
   }
 
   size_t num_papers() const { return paper_offsets_.size() - 1; }
@@ -77,6 +86,8 @@ class PaperAuthors {
   size_t PaperCount(AuthorId a) const {
     return author_offsets_[a + 1] - author_offsets_[a];
   }
+
+  bool operator==(const PaperAuthors& other) const = default;
 
  private:
   std::vector<uint64_t> paper_offsets_{0};

@@ -16,7 +16,7 @@ NodeId GraphBuilder::AddNodes(size_t count, Year year) {
   return first;
 }
 
-Status GraphBuilder::AddEdge(NodeId u, NodeId v) {
+Status GraphBuilder::AddCheckedEdge(NodeId u, NodeId v) {
   if (u >= years_.size() || v >= years_.size()) {
     return Status::InvalidArgument(
         "edge (" + std::to_string(u) + "," + std::to_string(v) +
@@ -45,27 +45,49 @@ Status GraphBuilder::AddEdges(
   return Status::OK();
 }
 
-Result<CitationGraph> GraphBuilder::Build() && {
-  std::sort(edges_.begin(), edges_.end());
-  if (options_.dedup_parallel_edges) {
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  } else {
-    auto dup = std::adjacent_find(edges_.begin(), edges_.end());
-    if (dup != edges_.end()) {
-      return Status::InvalidArgument(
-          "duplicate citation (" + std::to_string(dup->first) + "," +
-          std::to_string(dup->second) + ")");
-    }
-  }
+void GraphBuilder::ReserveEdges(size_t count) {
+  edges_.reserve(edges_.size() + count);
+}
 
+Result<CitationGraph> GraphBuilder::Build() && {
+  // Counting sort by source: rows keep insertion order, then each row is
+  // sorted and deduplicated on its own, so no step sorts all m edges.
   const size_t n = years_.size();
   std::vector<EdgeId> offsets(n + 1, 0);
   for (const auto& [u, v] : edges_) ++offsets[u + 1];
   for (size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
-
   std::vector<NodeId> neighbors(edges_.size());
-  // edges_ is sorted by (u, v), so a linear copy yields sorted rows.
-  for (size_t i = 0; i < edges_.size(); ++i) neighbors[i] = edges_[i].second;
+  {
+    std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+    for (const auto& [u, v] : edges_) neighbors[cursor[u]++] = v;
+  }
+  std::vector<std::pair<NodeId, NodeId>>().swap(edges_);
+
+  // Rows are visited in source order and sorted, so the first repeat found
+  // is the smallest duplicated (u, v) pair.
+  EdgeId row_begin = 0;
+  EdgeId kept = 0;
+  for (size_t u = 0; u < n; ++u) {
+    NodeId* first = neighbors.data() + row_begin;
+    NodeId* last = neighbors.data() + offsets[u + 1];
+    row_begin = offsets[u + 1];
+    std::sort(first, last);
+    if (options_.dedup_parallel_edges) {
+      last = std::unique(first, last);
+    } else if (NodeId* dup = std::adjacent_find(first, last); dup != last) {
+      return Status::InvalidArgument("duplicate citation (" +
+                                     std::to_string(u) + "," +
+                                     std::to_string(*dup) + ")");
+    }
+    NodeId* out = neighbors.data() + kept;
+    if (out != first) std::copy(first, last, out);
+    kept += static_cast<EdgeId>(last - first);
+    offsets[u + 1] = kept;
+  }
+  if (kept != neighbors.size()) {
+    neighbors.resize(kept);
+    neighbors.shrink_to_fit();
+  }
 
   return CitationGraph::FromCsr(std::move(years_), std::move(offsets),
                                 std::move(neighbors));

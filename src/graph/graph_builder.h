@@ -41,19 +41,35 @@ class GraphBuilder {
   NodeId AddNodes(size_t count, Year year);
 
   /// Records citation u -> v. Both endpoints must already exist.
-  Status AddEdge(NodeId u, NodeId v);
+  Status AddEdge(NodeId u, NodeId v) {
+    // Inline for the common valid edge: loaders add millions of them.
+    if (u >= years_.size() || v >= years_.size() || u == v ||
+        options_.forbid_backward_time_edges) {
+      return AddCheckedEdge(u, v);
+    }
+    edges_.emplace_back(u, v);
+    return Status::OK();
+  }
 
   /// Bulk variant of AddEdge.
   Status AddEdges(const std::vector<std::pair<NodeId, NodeId>>& edges);
+
+  /// Capacity hint: room for `count` more AddEdge calls without regrowth.
+  void ReserveEdges(size_t count);
 
   size_t num_nodes() const { return years_.size(); }
   /// Edges recorded so far (before dedup/self-loop filtering).
   size_t num_pending_edges() const { return edges_.size(); }
 
-  /// Finalizes into an immutable CSR graph. Consumes the builder.
+  /// Finalizes into an immutable CSR graph with sorted rows. Consumes the
+  /// builder. Linear in the edge count apart from sorting each row; with
+  /// dedup off, fails on the smallest duplicated (u, v) pair.
   Result<CitationGraph> Build() &&;
 
  private:
+  /// AddEdge for every edge that needs more than the common-case checks.
+  Status AddCheckedEdge(NodeId u, NodeId v);
+
   Options options_;
   std::vector<Year> years_;
   std::vector<std::pair<NodeId, NodeId>> edges_;

@@ -79,7 +79,10 @@ Status WriteGraphTextFile(const CitationGraph& graph,
                           const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for writing: " + path);
-  return WriteGraphText(graph, &out);
+  SCHOLAR_RETURN_NOT_OK(WriteGraphText(graph, &out));
+  out.close();
+  if (!out) return Status::IOError("short write: " + path);
+  return Status::OK();
 }
 
 Result<CitationGraph> ReadGraphText(std::istream* in) {
@@ -184,7 +187,10 @@ Status WriteGraphBinaryFile(const CitationGraph& graph,
                             const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IOError("cannot open for writing: " + path);
-  return WriteGraphBinary(graph, &out);
+  SCHOLAR_RETURN_NOT_OK(WriteGraphBinary(graph, &out));
+  out.close();
+  if (!out) return Status::IOError("short write: " + path);
+  return Status::OK();
 }
 
 Result<CitationGraph> ReadGraphBinary(std::istream* in) {

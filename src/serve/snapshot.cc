@@ -199,7 +199,10 @@ Status ScoreSnapshot::WriteTo(std::ostream* out) const {
 Status ScoreSnapshot::WriteToFile(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IOError("cannot open for writing: " + path);
-  return WriteTo(&out);
+  SCHOLAR_RETURN_NOT_OK(WriteTo(&out));
+  out.close();
+  if (!out) return Status::IOError("short write: " + path);
+  return Status::OK();
 }
 
 Result<ScoreSnapshot> ScoreSnapshot::Read(std::istream* in) {

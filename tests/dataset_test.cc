@@ -1,5 +1,6 @@
 #include "data/dataset.h"
 
+#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -106,6 +107,19 @@ TEST(AMinerRoundTripTest, WriteThenReadPreservesStructure) {
   EXPECT_EQ(back.authors.num_links(), corpus.authors.num_links());
 }
 
+// /dev/full accepts open() and buffered writes but fails the flush, so a
+// writer that returns before closing its file reports success.
+constexpr char kFullDevice[] = "/dev/full";
+
+TEST(AMinerWriteFileTest, FailedFinalFlushIsIOError) {
+  if (!std::filesystem::exists(kFullDevice)) GTEST_SKIP() << "no /dev/full";
+  std::stringstream in(kAMinerSample);
+  Corpus corpus = ReadAMinerCorpus(&in, "sample").value();
+  const Status status = WriteAMinerCorpusFile(corpus, kFullDevice);
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  EXPECT_EQ(status.message(), "short write: /dev/full");
+}
+
 constexpr char kArticlesTsv[] =
     "0\t1995\tVLDB\talice;bob\n"
     "1\t1998\tSIGMOD\tbob\n"
@@ -157,6 +171,19 @@ TEST(TsvRoundTripTest, WriteThenRead) {
   EXPECT_EQ(back.graph, corpus.graph);
   EXPECT_EQ(back.venues, corpus.venues);
   EXPECT_EQ(back.authors.num_links(), corpus.authors.num_links());
+}
+
+TEST(TsvWriteFileTest, FailedFinalFlushIsIOError) {
+  if (!std::filesystem::exists(kFullDevice)) GTEST_SKIP() << "no /dev/full";
+  std::stringstream articles(kArticlesTsv), citations(kCitationsTsv);
+  Corpus corpus = ReadTsvCorpus(&articles, &citations, "tsv").value();
+  Status status = WriteTsvCorpusFiles(corpus, kFullDevice, kFullDevice);
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  // The citations file alone failing is caught too.
+  const std::string ok_path = ::testing::TempDir() + "/tsv_full_articles.tsv";
+  status = WriteTsvCorpusFiles(corpus, ok_path, kFullDevice);
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  EXPECT_EQ(status.message(), "short write: /dev/full");
 }
 
 TEST(CorpusConsistencyTest, DetectsSizeMismatch) {

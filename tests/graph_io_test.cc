@@ -1,5 +1,6 @@
 #include "graph/graph_io.h"
 
+#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -181,6 +182,19 @@ TEST(GraphIoFileTest, FileRoundTripBothFormats) {
   ASSERT_TRUE(WriteGraphBinaryFile(g, bin_path).ok());
   EXPECT_EQ(ReadGraphTextFile(text_path).value(), g);
   EXPECT_EQ(ReadGraphBinaryFile(bin_path).value(), g);
+}
+
+// /dev/full accepts open() and buffered writes but fails the flush.
+TEST(GraphIoFileTest, TextWriteFailedFinalFlushIsIOError) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Status status = WriteGraphTextFile(MakeTinyGraph(), "/dev/full");
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+}
+
+TEST(GraphIoFileTest, BinaryWriteFailedFinalFlushIsIOError) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Status status = WriteGraphBinaryFile(MakeTinyGraph(), "/dev/full");
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
 }
 
 TEST(GraphIoFileTest, MissingFileIsIOError) {

@@ -1,5 +1,6 @@
 #include "serve/snapshot.h"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -107,6 +108,14 @@ TEST(ScoreSnapshotTest, FileRoundTrip) {
   ASSERT_TRUE(original.WriteToFile(path).ok());
   ScoreSnapshot reread = ScoreSnapshot::ReadFile(path).value();
   EXPECT_EQ(reread, original);
+}
+
+// /dev/full accepts open() and buffered writes but fails the flush.
+TEST(ScoreSnapshotTest, WriteFailedFinalFlushIsIOError) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Status status = TinySnapshot().WriteToFile("/dev/full");
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  EXPECT_EQ(status.message(), "short write: /dev/full");
 }
 
 TEST(ScoreSnapshotTest, EmptyGraphRoundTrips) {
