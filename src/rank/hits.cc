@@ -104,8 +104,7 @@ Result<HitsRanker::HubsAndAuthorities> HitsRanker::RankBothOnAccess(
     if (NormalizeL2(&seed, pool, &partial) > 0.0) {
       out.authorities = std::move(seed);
       copy_rows(hub_engine.Gather(out.authorities.data(), nullptr), &out.hubs);
-      // A zero norm is returned exactly, never approximately.  NOLINT(float-compare)
-      if (NormalizeL2(&out.hubs, pool, &partial) == 0.0) {  // NOLINT(float-compare)
+      if (NormalizeL2(&out.hubs, pool, &partial) == 0.0) {  // NOLINT(float-compare): a zero norm is returned exactly, never approximately
         out.hubs.assign(n, 1.0 / std::sqrt(static_cast<double>(n)));
       }
     }

@@ -327,9 +327,8 @@ const double* GatherEngine::Gather(const double* contrib,
                                    const double* edge_weights) {
   if (resolved_.adaptive) MarkStaleRows(contrib);
 
-  // Pointer identity, not value comparison.  NOLINT(float-compare)
   if (resolved_.weight_codebook && edge_weights != nullptr &&
-      codes_built_for_ != edge_weights) {  // NOLINT(float-compare)
+      codes_built_for_ != edge_weights) {  // NOLINT(float-compare): pointer identity, not a value comparison
     // Weights are per-solve constants (see the Gather contract), so the
     // code/table build runs once per distinct array, not per sweep.
     BuildWeightCodebook(edge_weights);
@@ -361,9 +360,8 @@ const double* GatherEngine::Gather(const double* contrib,
         }
       });
     }
-    // Pointer identity, not value comparison.  NOLINT(float-compare)
     if (edge_weights != nullptr && !use_codes &&
-        weights_seen_ != edge_weights) {  // NOLINT(float-compare)
+        weights_seen_ != edge_weights) {  // NOLINT(float-compare): pointer identity, not a value comparison
       // Weights are per-solve constants (see the Gather contract), so the
       // float mirror converts once per distinct array, not per sweep.
       // Codebook sweeps read the float table instead and skip the mirror.

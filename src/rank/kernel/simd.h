@@ -20,7 +20,7 @@
 /// double path is the float representation error of the inputs.
 ///
 /// This header is intrinsic-free; every raw intrinsic lives in simd.cc
-/// (the scholar_lint `raw-intrinsics` rule bans them anywhere outside
+/// (the scholar_analyze `raw-intrinsics` rule bans them anywhere outside
 /// src/rank/kernel/).
 
 #include <cstddef>

@@ -64,9 +64,8 @@ std::vector<double> MidrankPercentiles(const std::vector<double>& scores) {
   size_t i = 0;
   while (i < n) {
     size_t j = i;
-    // Exact equality is the contract here: scores are bit-identical at any
-    // thread count, so ties are exact ties.  NOLINT(float-compare)
-    while (j + 1 < n && scores[order[j + 1]] == scores[order[i]]) ++j;  // NOLINT(float-compare)
+    // Scores are bit-identical at any thread count, so ties are exact ties.
+    while (j + 1 < n && scores[order[j + 1]] == scores[order[i]]) ++j;  // NOLINT(float-compare): exact equality is the tie contract
     // 1-based positions i+1 .. j+1 share their average position.
     const double mid_pos = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
     const double shared = (static_cast<double>(n) - mid_pos + 1.0) / static_cast<double>(n);
@@ -87,7 +86,7 @@ std::vector<NodeId> TopK(const std::vector<double>& scores, size_t k) {
                     [&](NodeId a, NodeId b) {
                       // Deterministic tie-break; exact compare is intended
                       // under the bit-identity contract.
-                      if (scores[a] != scores[b]) return scores[a] > scores[b];  // NOLINT(float-compare)
+                      if (scores[a] != scores[b]) return scores[a] > scores[b];  // NOLINT(float-compare): exact tie-break under the bit-identity contract
                       return a < b;
                     });
   order.resize(k);

@@ -105,9 +105,8 @@ const TwprWeightCache::Weights& TwprWeightCache::GetOrCompute(
     sigma_ = sigma;
     ready_ = true;
   } else {
-    // One cache serves one (graph, sigma) pair; exact compare is the
-    // contract (same double every call).  NOLINT(float-compare)
-    SCHOLAR_CHECK(graph_ == &graph && sigma_ == sigma);  // NOLINT(float-compare)
+    // One cache serves one (graph, sigma) pair.
+    SCHOLAR_CHECK(graph_ == &graph && sigma_ == sigma);  // NOLINT(float-compare): callers pass the same double every call
   }
   return weights_;
 }

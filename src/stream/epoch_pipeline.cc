@@ -19,7 +19,7 @@ Status EpochPipeline::Bootstrap() {
   const CitationGraph& g = graph_->graph();
   stats.num_nodes = g.num_nodes();
   stats.num_edges = g.num_edges();
-  WallTimer timer;
+  WallTimer timer;  // NOLINT(determinism): durations go to EpochStats, never into scores
   SCHOLAR_ASSIGN_OR_RETURN(RankResult result, ranker_->RankCold(g));
   stats.rank_ms = timer.ElapsedMillis();
   stats.iterations = result.iterations;
@@ -55,7 +55,7 @@ Result<EpochStats> EpochPipeline::Step(EdgeBatch batch) {
   const size_t old_n = graph_->num_nodes();
   const size_t old_e = graph_->num_edges();
 
-  WallTimer timer;
+  WallTimer timer;  // NOLINT(determinism): durations go to EpochStats, never into scores
   SCHOLAR_ASSIGN_OR_RETURN(stats.batches_applied,
                            graph_->Ingest(std::move(batch)));
   stats.apply_ms = timer.ElapsedMillis();

@@ -22,7 +22,7 @@ namespace scholar {
 /// malformed input can only yield a `false`/`Status` return — never
 /// undefined behavior, an unbounded allocation, or a silently short value.
 ///
-/// scholar_lint's `unchecked-read` rule enforces the funnel at the source
+/// scholar_analyze's `unchecked-read` rule enforces the funnel at the source
 /// level: in parser files, mutable `reinterpret_cast` / `memcpy` from
 /// buffers is rejected, and the two low-level call sites inside this class
 /// are the only sanctioned ones (marked NOLINT(unchecked-read) below).

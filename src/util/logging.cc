@@ -47,7 +47,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 LogMessage::~LogMessage() {
   stream_ << "\n";
   // This is the logging sink itself — the one place stdio is the point.
-  std::fputs(stream_.str().c_str(), stderr);  // NOLINT(raw-stdout)
+  std::fputs(stream_.str().c_str(), stderr);  // NOLINT(raw-stdout): the logging sink itself
   if (level_ == LogLevel::kFatal) {
     std::fflush(stderr);
     std::abort();

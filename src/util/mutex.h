@@ -13,7 +13,7 @@ namespace scholar {
 /// libstdc++'s std::mutex carries no capability attributes, so
 /// -Wthread-safety cannot reason about it; this thin wrapper re-exposes it
 /// as a CAPABILITY and is the project-wide replacement for naked
-/// std::mutex members (enforced by scholar_lint's mutex-guard rule).
+/// std::mutex members (enforced by scholar_analyze's mutex-guard rule).
 /// Zero overhead: every method is an inline forward.
 class CAPABILITY("mutex") Mutex {
  public:

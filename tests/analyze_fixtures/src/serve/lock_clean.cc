@@ -26,8 +26,8 @@ class OrderedState {
   }
 
  private:
-  Mutex outer_;
-  Mutex inner_;
+  Mutex outer_;  // NOLINT(mutex-guard): lock-order works without annotations
+  Mutex inner_;  // NOLINT(mutex-guard): lock-order works without annotations
   int epoch_ = 0;
 };
 

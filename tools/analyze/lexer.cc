@@ -1,11 +1,11 @@
-// Tokenizer for scholar_analyze. Derived from scholar_lint's lexer with
-// three analyzer-specific behaviors:
+// Tokenizer for scholar_analyze. Comments feed the marker tables,
+// #include lines feed the include list, and three behaviors serve the
+// rules:
 //
 //  - NOLINT markers are honored only at the *start* of a comment and only
 //    in the reason-carrying form `NOLINT(rule-a,rule-b): reason`. A doc
 //    sentence that merely mentions NOLINT(...) mid-comment is not a
-//    suppression (scholar_lint had that latent foot-gun; the analyzer
-//    never did).
+//    suppression, and a bare `NOLINT` suppresses nothing.
 //  - `analyze:init-scope` comment markers are recorded per line; the
 //    hot-loop-alloc rule uses them to exempt init-phase loops/functions.
 //  - Raw source lines are retained so findings can fingerprint their line
@@ -45,7 +45,7 @@ void ScanComment(const std::string& comment, int line, LexedFile* out) {
     }
   }
   size_t after = pos + 6;  // strlen("NOLINT")
-  if (after >= comment.size() || comment[after] != '(') return;  // bare NOLINT is scholar_lint's dialect
+  if (after >= comment.size() || comment[after] != '(') return;  // bare NOLINT names no rule
   size_t close = comment.find(')', after);
   if (close == std::string::npos) return;
   Nolint marker;

@@ -1,7 +1,7 @@
 // Scope model: function boundaries, enclosing-class context, and token
-// matching helpers shared by every scholar_analyze rule. This is what the
-// token-level scholar_lint cannot see — rules here reason per function
-// body, with class context for qualifying members (mutexes, callees).
+// matching helpers shared by every scholar_analyze rule. The dataflow
+// rules reason per function body, with class context for qualifying
+// members (mutexes, callees); the token rules need only the helpers.
 
 #ifndef SCHOLAR_ANALYZE_MODEL_H_
 #define SCHOLAR_ANALYZE_MODEL_H_

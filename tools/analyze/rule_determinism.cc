@@ -8,15 +8,17 @@
 //      or wire output, two runs over the same corpus disagree. Rank over
 //      sorted/indexed views instead, or suppress a genuinely
 //      order-insensitive site with NOLINT(determinism): reason.
-//  (b) Wall-clock / libc PRNG calls (time, rand, srand, clock) anywhere
+//  (b) Wall-clock / libc PRNG calls (time, rand, srand, clock) and the
+//      std random engines (mt19937, mt19937_64, random_device) anywhere
 //      outside src/util/rng — randomness and time must be injected
 //      through the seeded utilities so replays reproduce.
-//  (c) Clock reads (clock_gettime, gettimeofday, timerfd_*, and the
-//      std::chrono clocks' ::now()) inside the order-sensitive subsystems
-//      of (a). Request handling, ranking and snapshot production must not
-//      branch on the time of day; the single sanctioned reader is the
-//      serving tier's latency histogram (src/serve/latency_histogram*),
-//      which measures durations without feeding them back into results.
+//  (c) Clock reads (clock_gettime, gettimeofday, timerfd_*, the
+//      std::chrono clocks' ::now(), and util/timer.h's WallTimer, which
+//      wraps steady_clock) inside the order-sensitive subsystems of (a).
+//      Request handling, ranking and snapshot production must not branch
+//      on the time of day; the single sanctioned reader is the serving
+//      tier's latency histogram (src/serve/latency_histogram*), which
+//      measures durations without feeding them back into results.
 
 #include "analyze/rules.h"
 
@@ -38,6 +40,21 @@ bool IsRngExempt(const std::string& path) {
 
 bool IsClockOrRand(const std::string& s) {
   return s == "time" || s == "rand" || s == "srand" || s == "clock";
+}
+
+/// A call of the libc function, not a member method named time()/clock()
+/// or SomeClass::time(...).
+bool IsLibcClockOrRandCall(const std::vector<Token>& t, size_t i) {
+  if (!IsClockOrRand(t[i].text) || !IsPunct(t, i + 1, "(")) return false;
+  if (i > 0 && (IsPunct(t, i - 1, ".") || IsPunct(t, i - 1, "->"))) {
+    return false;
+  }
+  return !(i > 0 && IsPunct(t, i - 1, "::") && !IsIdent(t, i - 2, "std"));
+}
+
+/// Any mention counts: an engine is PRNG state however it is spelled.
+bool IsStdRandomEngine(const std::string& s) {
+  return s == "mt19937" || s == "mt19937_64" || s == "random_device";
 }
 
 /// The one module allowed to read a clock inside the order-sensitive
@@ -173,20 +190,25 @@ void CheckDeterminism(const LexedFile& f, const FileModel& model,
                 "::now()' reads the clock inside an order-sensitive "
                 "subsystem; only src/serve/latency_histogram may read "
                 "time — take timestamps as inputs instead");
+        continue;
+      }
+      // WallTimer reads steady_clock behind util/timer.h's Clock alias.
+      if (t[i].text == "WallTimer") {
+        reporter.Report(
+            t[i].line, "determinism",
+            "'WallTimer' reads the clock (util/timer.h) inside an "
+            "order-sensitive subsystem; only src/serve/latency_histogram "
+            "may read time — take timestamps as inputs instead");
       }
     }
   }
 
-  // (b) time()/rand() outside util/rng.
+  // (b) time()/rand() calls and std random engines outside util/rng.
   if (!IsRngExempt(f.norm_path)) {
     for (size_t i = 0; i < t.size(); ++i) {
-      if (t[i].kind != TokKind::kIdent || !IsClockOrRand(t[i].text)) continue;
-      if (!IsPunct(t, i + 1, "(")) continue;
-      if (i > 0 && (IsPunct(t, i - 1, ".") || IsPunct(t, i - 1, "->"))) {
-        continue;  // member method named time()/clock(), not libc
-      }
-      if (i > 0 && IsPunct(t, i - 1, "::") && !IsIdent(t, i - 2, "std")) {
-        continue;  // SomeClass::time(...), not the libc function
+      if (t[i].kind != TokKind::kIdent) continue;
+      if (!IsStdRandomEngine(t[i].text) && !IsLibcClockOrRandCall(t, i)) {
+        continue;
       }
       reporter.Report(
           t[i].line, "determinism",

@@ -21,9 +21,9 @@
 // bare" at its own MutexLock sites), std::atomic members, and
 // constructors/destructors (no concurrent observer exists yet/anymore).
 //
-// Also in this file: the stale-nolint audit over the parallel pack's
-// suppressions — it needs the same pre-filter finding set this rule
-// feeds, so they live together.
+// Also in this file: the stale-nolint audit over every audited rule's
+// suppressions (IsAuditedRule) — it needs the same pre-filter finding set
+// this rule feeds, so they live together.
 
 #include "analyze/rules.h"
 

@@ -1,11 +1,12 @@
-// The scholar_analyze dataflow rules. Per-file rules take the lexed
-// file + scope model (+ the global index where cross-file name resolution
-// is needed); lock-order and guard-consistency are whole-program and run
-// once over the merged index. The parallel-region pack (shared-mutation,
-// dangling-capture, atomic-confinement, guard-consistency) reasons about
-// the repo's own parallel primitives — ParallelFor bodies, ThreadPool
-// Submit/Schedule lambdas, std::thread constructors — via
-// model.h's FindLambdas classification.
+// The scholar_analyze rules. Per-file rules take the lexed file, plus
+// the scope model and the global index where they reason per function or
+// resolve names across files; lock-order and guard-consistency are
+// whole-program and run once over the merged index. The token rules at
+// the end need the lexed file alone. The parallel-region pack
+// (shared-mutation, dangling-capture, atomic-confinement,
+// guard-consistency) reasons about the repo's own parallel primitives —
+// ParallelFor bodies, ThreadPool Submit/Schedule lambdas, std::thread
+// constructors — via model.h's FindLambdas classification.
 
 #ifndef SCHOLAR_ANALYZE_RULES_H_
 #define SCHOLAR_ANALYZE_RULES_H_
@@ -41,7 +42,9 @@ void CheckHotLoopAlloc(const LexedFile& f, const FileModel& model,
 /// subsystems (src/rank/, src/ensemble/, src/stream/, src/serve/) —
 /// iteration order varies across libstdc++ versions and hash seeds, so it
 /// must never flow into scores, snapshots, or wire output; (b) wall-clock
-/// and libc PRNG calls anywhere outside src/util/rng.
+/// and libc PRNG calls and the std random engines anywhere outside
+/// src/util/rng; (c) clock reads, WallTimer included, in the subsystems
+/// of (a) outside src/serve/latency_histogram*.
 void CheckDeterminism(const LexedFile& f, const FileModel& model,
                       const GlobalIndex& gi, std::vector<Finding>* out);
 
@@ -79,15 +82,47 @@ void CheckAtomicConfinement(const LexedFile& f, const FileModel& model,
 /// a parallel-reachability fixpoint over the call graph).
 std::vector<Finding> CheckGuardConsistency(const GlobalIndex& gi);
 
-/// stale-nolint: audits every reason-carrying NOLINT naming a
-/// parallel-pack rule (FileIndex::audited_nolints) against the findings
-/// actually produced this run — including suppressed ones. A marker that
-/// no longer suppresses anything is itself a violation. `findings` must
-/// contain the pre-filter set (nolint_suppressed entries included);
-/// `indexes` pairs each normalized path with its FileIndex.
+/// stale-nolint: audits every reason-carrying NOLINT naming an audited
+/// rule (FileIndex::audited_nolints, see IsAuditedRule) against the
+/// findings actually produced this run — including suppressed ones. A
+/// marker that no longer suppresses anything is itself a violation.
+/// `findings` must contain the pre-filter set (nolint_suppressed entries
+/// included); `indexes` pairs each normalized path with its FileIndex.
 std::vector<Finding> CheckStaleNolints(
     const std::vector<std::pair<std::string, const FileIndex*>>& indexes,
     const std::vector<Finding>& findings);
+
+/// mutex-guard: a class declaring a std::mutex or scholar::Mutex member
+/// annotates at least one member GUARDED_BY / PT_GUARDED_BY.
+void CheckMutexGuard(const LexedFile& f, std::vector<Finding>* out);
+
+/// float-compare: no == / != on floating-point operands (literals or
+/// identifiers the file declares float/double) in src/rank/ and
+/// src/ensemble/.
+void CheckFloatCompare(const LexedFile& f, std::vector<Finding>* out);
+
+/// raw-stdout: no std::cout / printf-family output in src/.
+void CheckRawStdout(const LexedFile& f, std::vector<Finding>* out);
+
+/// include-order: a .cc file's own header is its first #include.
+void CheckIncludeOrder(const LexedFile& f, std::vector<Finding>* out);
+
+/// materialize-snapshot: no ExtractSnapshot() calls outside
+/// src/graph/time_slicer.{h,cc}.
+void CheckMaterializeSnapshot(const LexedFile& f, std::vector<Finding>* out);
+
+/// include-layering: a quoted #include under src/<module>/ names only a
+/// strictly lower layer of util -> graph -> {data, rank} ->
+/// {ensemble, eval} -> core -> stream -> serve -> cli, or its own module.
+void CheckIncludeLayering(const LexedFile& f, std::vector<Finding>* out);
+
+/// unchecked-read: no raw memcpy() / mutable reinterpret_cast in the
+/// untrusted-input decoders.
+void CheckUncheckedRead(const LexedFile& f, std::vector<Finding>* out);
+
+/// raw-intrinsics: no SIMD intrinsics, vector types or *intrin.h
+/// includes in src/ outside src/rank/kernel/.
+void CheckRawIntrinsics(const LexedFile& f, std::vector<Finding>* out);
 
 }  // namespace analyze
 

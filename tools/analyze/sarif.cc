@@ -50,8 +50,35 @@ const RuleMeta kRules[] = {
      "The cross-file mutex acquisition graph must be acyclic; acquiring a "
      "held mutex is a self-deadlock."},
     {"determinism",
-     "No unordered-container iteration in order-sensitive subsystems and "
-     "no wall-clock/PRNG calls outside src/util/rng."},
+     "No unordered-container iteration or clock reads (WallTimer included) "
+     "in order-sensitive subsystems, and no wall-clock/PRNG calls or std "
+     "random engines outside src/util/rng."},
+    {"mutex-guard",
+     "A class declaring a mutex member annotates at least one member "
+     "GUARDED_BY; an unannotated mutex is invisible to -Wthread-safety."},
+    {"float-compare",
+     "No ==/!= on floating-point values in src/rank/ and src/ensemble/, "
+     "where the bit-identity contract makes epsilon-free compares a bug "
+     "class."},
+    {"raw-stdout",
+     "No std::cout/printf-family output in src/; library code logs through "
+     "util/logging."},
+    {"include-order",
+     "A .cc file's own header is its first #include, proving the header "
+     "self-contained."},
+    {"materialize-snapshot",
+     "No ExtractSnapshot() calls outside src/graph/time_slicer; ranking "
+     "code consumes zero-copy TemporalCsr views."},
+    {"include-layering",
+     "A quoted #include names only a strictly lower layer of util -> graph "
+     "-> {data, rank} -> {ensemble, eval} -> core -> stream -> serve -> "
+     "cli, or its own module."},
+    {"unchecked-read",
+     "No raw memcpy() or mutable reinterpret_cast in the untrusted-input "
+     "decoders; bytes are decoded through the bounds-checked ByteReader."},
+    {"raw-intrinsics",
+     "No SIMD intrinsics, vector types, or *intrin.h includes in src/ "
+     "outside src/rank/kernel/."},
     {"shared-mutation",
      "By-ref captures written inside parallel bodies (ParallelFor, "
      "ThreadPool::Submit, std::thread) need a Mutex, a std::atomic, or a "
@@ -69,8 +96,8 @@ const RuleMeta kRules[] = {
      "accessed bare in code reachable from a parallel context (cross-TU, "
      "annotation-free)."},
     {"stale-nolint",
-     "A reason-carrying NOLINT naming a parallel-pack rule must still "
-     "suppress a live finding; stale markers are violations."},
+     "A reason-carrying NOLINT naming any rule but lock-order must still "
+     "suppress a live finding on its line; stale markers are violations."},
 };
 
 }  // namespace

@@ -1,8 +1,7 @@
-// scholar_analyze: scope-aware dataflow analyzer for the ScholarRank
-// codebase — the second-generation companion to the token-level
-// scholar_lint. Where the linter pattern-matches single tokens, the
-// analyzer builds a per-file scope model (function boundaries, class
-// context, brace depth) plus a cross-file index, and runs the rules:
+// scholar_analyze: the static analyzer for the ScholarRank codebase. It
+// lexes each file once, builds a per-file scope model (function
+// boundaries, class context, brace depth) plus a cross-file index, and
+// runs the rules:
 //
 //   unchecked-status  Status/Result<T> values must be consumed; `(void)`
 //                     and static_cast<void> discards are flagged too.
@@ -15,12 +14,13 @@
 //                     calls, seeded by REQUIRES annotations) must be
 //                     acyclic; cycles are reported with a witness path.
 //   determinism       no unordered-container iteration in rank/ensemble/
-//                     stream/serve, no time()/rand() outside util/rng,
+//                     stream/serve; no time()/rand() calls or std random
+//                     engines (mt19937, random_device) outside util/rng;
 //                     and no clock reads (clock_gettime, gettimeofday,
-//                     timerfd_*, chrono ::now()) in those subsystems
-//                     outside src/serve/latency_histogram*.
+//                     timerfd_*, chrono ::now(), WallTimer) in those
+//                     subsystems outside src/serve/latency_histogram*.
 //
-// Parallel-region pack (v3) — reasons about the repo's own parallel
+// Parallel-region pack — reasons about the repo's own parallel
 // primitives (ParallelFor bodies, ThreadPool::Submit/Schedule lambdas,
 // std::thread constructors), interprocedurally via the merged index:
 //
@@ -35,12 +35,32 @@
 //                      thread_pool*) or under a reasoned NOLINT.
 //   guard-consistency  a field guarded in one function must not be bare
 //                      in code reachable from a parallel context.
-//   stale-nolint       a NOLINT naming one of the four rules above must
-//                      still suppress a live finding.
 //
-// Suppression: `// NOLINT(rule): reason` on the flagged line — the rule
-// list and a non-empty reason are both mandatory (scholar_lint's bare
-// NOLINT is not honored here; an audit needs an audit record).
+// Token rules — project contracts the compiler cannot express:
+//
+//   mutex-guard          a class declaring a mutex member annotates at
+//                        least one member GUARDED_BY.
+//   float-compare        no == / != on floating-point values in
+//                        src/rank/ and src/ensemble/.
+//   raw-stdout           no std::cout / printf-family output in src/.
+//   include-order        a .cc file's own header is its first #include.
+//   materialize-snapshot no ExtractSnapshot() calls outside
+//                        src/graph/time_slicer.
+//   include-layering     #includes follow the module DAG util -> graph ->
+//                        {data, rank} -> {ensemble, eval} -> core ->
+//                        stream -> serve -> cli.
+//   unchecked-read       no raw memcpy() / mutable reinterpret_cast in the
+//                        untrusted-input decoders.
+//   raw-intrinsics       SIMD intrinsics only under src/rank/kernel/.
+//
+//   stale-nolint         a NOLINT naming any rule above but lock-order
+//                        must still suppress a live finding on its line
+//                        (lock-order markers remove graph edges instead).
+//
+// Suppression: `// NOLINT(rule-a,rule-b): reason` leading a comment on
+// the flagged line — the rule list and a non-empty reason are both
+// mandatory; a bare `// NOLINT` suppresses nothing. An audit needs an
+// audit record.
 //
 // Usage:
 //   scholar_analyze [options] <file.cc|file.h>...
@@ -85,7 +105,7 @@ namespace {
 
 /// Bumping this salt invalidates every cache entry; do so whenever rule
 /// behavior changes (cached findings would otherwise go stale silently).
-constexpr uint64_t kAnalyzerSalt = 0x73636132u;  // "sca2"
+constexpr uint64_t kAnalyzerSalt = 0x73636133u;  // "sca3"
 
 bool ReadFile(const std::string& path, std::string* out) {
   std::ifstream is(path, std::ios::binary);
@@ -305,6 +325,14 @@ int main(int argc, char** argv) {
           analyze::CheckSharedMutation(pf.lex, pf.model, gi, &file_findings);
           analyze::CheckDanglingCapture(pf.lex, pf.model, gi, &file_findings);
           analyze::CheckAtomicConfinement(pf.lex, pf.model, &file_findings);
+          analyze::CheckMutexGuard(pf.lex, &file_findings);
+          analyze::CheckFloatCompare(pf.lex, &file_findings);
+          analyze::CheckRawStdout(pf.lex, &file_findings);
+          analyze::CheckIncludeOrder(pf.lex, &file_findings);
+          analyze::CheckMaterializeSnapshot(pf.lex, &file_findings);
+          analyze::CheckIncludeLayering(pf.lex, &file_findings);
+          analyze::CheckUncheckedRead(pf.lex, &file_findings);
+          analyze::CheckRawIntrinsics(pf.lex, &file_findings);
         }
       });
   for (const std::string& err : errors) {
@@ -336,8 +364,8 @@ int main(int argc, char** argv) {
     std::vector<analyze::Finding> guard = analyze::CheckGuardConsistency(gi);
     findings.insert(findings.end(), guard.begin(), guard.end());
   }
-  // Audit the parallel-pack suppressions against the full pre-filter
-  // finding set, then drop the suppressed entries from the output.
+  // Audit the suppressions against the full pre-filter finding set, then
+  // drop the suppressed entries from the output.
   {
     std::vector<std::pair<std::string, const analyze::FileIndex*>> indexes;
     indexes.reserve(files.size());
