@@ -8,20 +8,27 @@
 ///   setup  — building one TemporalCsr index + k O(1) views vs extracting
 ///            k materialized CitationGraph copies, and the bytes each
 ///            snapshot structure retains (the index is V+E+k shared by all
-///            views; copies cost k·(V+E)).
+///            views; copies cost k·(V+E)). Measured twice: on the synthetic
+///            corpus as generated, whose ids are year-monotone so the index
+///            shares the parent graph by pointer (the identity fast path),
+///            and on a seeded year-shuffled relabel of it, where the index
+///            builds its own year-sorted copy — the path shuffled files and
+///            real dumps take.
 ///   rank   — full ens_twpr at 1/2/4/8 threads, fixed iteration count
 ///            (tolerance 0) so every row performs identical arithmetic.
-///            Every row must match the 1-thread run bit for bit — the bench
-///            aborts otherwise. (tests/ensemble_view_test.cc holds the
+///            Snapshots rank one after another in index order; N threads
+///            means N-thread solves plus an N-wide ensemble pool. Every row
+///            must match the 1-thread run bit for bit — the bench aborts
+///            otherwise. (tests/ensemble_view_test.cc holds the
 ///            materialized oracle the views are checked against.)
 ///
-/// Peak-RSS numbers (VmHWM around each setup phase, reset via
-/// /proc/self/clear_refs) are informative only: the allocator and the
-/// corpus dominate them; the retained-bytes accounting is the honest
-/// memory claim.
+/// RSS growth (VmRSS read before and after each setup phase, while its
+/// structures are alive) is informative only: the allocator dominates it;
+/// the retained-bytes accounting is the honest memory claim.
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,9 +36,11 @@
 #include "bench_common.h"
 #include "ensemble/ensemble_ranker.h"
 #include "ensemble/time_partitioner.h"
+#include "graph/graph_builder.h"
 #include "graph/temporal_csr.h"
 #include "graph/time_slicer.h"
 #include "rank/time_weighted_pagerank.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 using namespace scholar;
@@ -42,6 +51,7 @@ namespace {
 constexpr int kNumSlices = 8;
 constexpr int kFixedIterations = 10;
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
+constexpr uint64_t kShuffleSeed = 20180417;
 
 struct SetupStats {
   double view_build_ms = 0.0;
@@ -50,8 +60,8 @@ struct SetupStats {
   size_t view_bytes = 0;
   size_t materialized_bytes = 0;
   double memory_reduction = 0.0;
-  size_t peak_rss_view_kb = 0;
-  size_t peak_rss_materialized_kb = 0;
+  size_t rss_growth_view_kb = 0;
+  size_t rss_growth_materialized_kb = 0;
 };
 
 struct Row {
@@ -74,14 +84,14 @@ size_t SnapshotBytes(const Snapshot& snap) {
          (snap.to_parent.size() + snap.from_parent.size()) * sizeof(NodeId);
 }
 
-/// VmHWM from /proc/self/status, in kB; 0 when unavailable.
-size_t ReadPeakRssKb() {
+/// VmRSS from /proc/self/status, in kB; 0 when unavailable.
+size_t ReadRssKb() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;
   char line[256];
   size_t kb = 0;
   while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+    if (std::strncmp(line, "VmRSS:", 6) == 0) {
       kb = static_cast<size_t>(std::strtoull(line + 6, nullptr, 10));
       break;
     }
@@ -90,36 +100,33 @@ size_t ReadPeakRssKb() {
   return kb;
 }
 
-/// Resets the kernel's peak-RSS watermark to the current RSS so the next
-/// ReadPeakRssKb reflects only what happened in between.
-void ResetPeakRss() {
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return;
-  std::fputs("5", f);
-  std::fclose(f);
+/// RSS gained since `base_kb` (0 when it shrank).
+size_t RssGrowthKb(size_t base_kb) {
+  const size_t now_kb = ReadRssKb();
+  return now_kb > base_kb ? now_kb - base_kb : 0;
 }
 
 SetupStats MeasureSetup(const CitationGraph& g,
                         const std::vector<Year>& boundaries) {
   SetupStats stats;
 
-  ResetPeakRss();
+  const size_t rss_before_view_kb = ReadRssKb();
   WallTimer view_timer;
   TemporalCsr tcsr(g);
   std::vector<SnapshotView> views;
   views.reserve(boundaries.size());
   for (Year b : boundaries) views.push_back(tcsr.MakeView(b));
   stats.view_build_ms = view_timer.ElapsedMillis();
-  stats.peak_rss_view_kb = ReadPeakRssKb();
+  stats.rss_growth_view_kb = RssGrowthKb(rss_before_view_kb);
   stats.view_bytes = tcsr.ApproxBytes() + views.size() * sizeof(SnapshotView);
 
-  ResetPeakRss();
+  const size_t rss_before_mat_kb = ReadRssKb();
   WallTimer mat_timer;
   std::vector<Snapshot> snapshots;
   snapshots.reserve(boundaries.size());
   for (Year b : boundaries) snapshots.push_back(ExtractSnapshot(g, b));
   stats.materialized_extract_ms = mat_timer.ElapsedMillis();
-  stats.peak_rss_materialized_kb = ReadPeakRssKb();
+  stats.rss_growth_materialized_kb = RssGrowthKb(rss_before_mat_kb);
   for (const Snapshot& snap : snapshots) {
     stats.materialized_bytes += SnapshotBytes(snap);
   }
@@ -136,6 +143,53 @@ SetupStats MeasureSetup(const CitationGraph& g,
   return stats;
 }
 
+/// The graph with node ids permuted by a seeded shuffle: same years, same
+/// citations, but ids no longer year-monotone.
+CitationGraph ShuffledRelabel(const CitationGraph& g, uint64_t seed) {
+  const size_t n = g.num_nodes();
+  std::vector<NodeId> to_old(n);
+  std::iota(to_old.begin(), to_old.end(), NodeId{0});
+  Rng rng(seed);
+  rng.Shuffle(&to_old);
+  std::vector<NodeId> to_new(n);
+  for (NodeId s = 0; s < n; ++s) to_new[to_old[s]] = s;
+  GraphBuilder builder;
+  builder.ReserveEdges(g.num_edges());
+  for (NodeId s = 0; s < n; ++s) builder.AddNode(g.year(to_old[s]));
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v : g.References(u)) {
+      SCHOLAR_CHECK_OK(builder.AddEdge(to_new[u], to_new[v]));
+    }
+  }
+  Result<CitationGraph> shuffled = std::move(builder).Build();
+  SCHOLAR_CHECK_OK(shuffled.status());
+  return std::move(shuffled).value();
+}
+
+void PrintSetup(const char* label, const SetupStats& setup) {
+  std::printf(
+      "  setup (%s): views %.1f ms vs materialized %.1f ms (%.1fx); "
+      "retained %zu vs %zu bytes (%.1fx)\n",
+      label, setup.view_build_ms, setup.materialized_extract_ms,
+      setup.setup_speedup, setup.view_bytes, setup.materialized_bytes,
+      setup.memory_reduction);
+}
+
+void WriteSetupJson(std::FILE* f, const char* key, const SetupStats& setup) {
+  std::fprintf(
+      f,
+      "  \"%s\": {\"view_build_ms\": %.3f, "
+      "\"materialized_extract_ms\": %.3f, \"setup_speedup\": %.2f,\n"
+      "            \"view_snapshot_bytes\": %zu, "
+      "\"materialized_snapshot_bytes\": %zu, \"memory_reduction\": %.2f,\n"
+      "            \"rss_growth_view_kb\": %zu, "
+      "\"rss_growth_materialized_kb\": %zu},\n",
+      key, setup.view_build_ms, setup.materialized_extract_ms,
+      setup.setup_speedup, setup.view_bytes, setup.materialized_bytes,
+      setup.memory_reduction, setup.rss_growth_view_kb,
+      setup.rss_growth_materialized_kb);
+}
+
 /// `threads` bounds both levels: the ensemble's workers and each solve's
 /// own pool (0 would mean every core), so the 1-thread row is serial.
 EnsembleRanker MakeEnsemble(int threads) {
@@ -145,7 +199,7 @@ EnsembleRanker MakeEnsemble(int threads) {
   twpr.power.threads = threads;
   EnsembleOptions o;
   o.num_slices = kNumSlices;
-  o.warm_start = false;  // snapshots rank concurrently — the hard mode
+  o.warm_start = false;  // every snapshot cold-starts: the most solve work
   o.threads = threads;
   return EnsembleRanker(std::make_shared<TimeWeightedPageRank>(twpr), o);
 }
@@ -167,7 +221,8 @@ double TimeRank(const EnsembleRanker& ens, const CitationGraph& g,
 }
 
 void WriteJson(const CitationGraph& g, const SetupStats& setup,
-               const std::vector<Row>& rows, const char* path) {
+               const SetupStats& setup_shuffled, const std::vector<Row>& rows,
+               const char* path) {
   std::FILE* f = std::fopen(path, "w");
   SCHOLAR_CHECK(f != nullptr) << "cannot open " << path;
   std::fprintf(f,
@@ -183,18 +238,8 @@ void WriteJson(const CitationGraph& g, const SetupStats& setup,
                g.num_nodes(), g.num_edges(), kNumSlices, kFixedIterations,
                std::thread::hardware_concurrency());
   WriteHostJson(f);
-  std::fprintf(
-      f,
-      "  \"setup\": {\"view_build_ms\": %.3f, "
-      "\"materialized_extract_ms\": %.3f, \"setup_speedup\": %.2f,\n"
-      "            \"view_snapshot_bytes\": %zu, "
-      "\"materialized_snapshot_bytes\": %zu, \"memory_reduction\": %.2f,\n"
-      "            \"peak_rss_view_kb\": %zu, "
-      "\"peak_rss_materialized_kb\": %zu},\n",
-      setup.view_build_ms, setup.materialized_extract_ms,
-      setup.setup_speedup, setup.view_bytes, setup.materialized_bytes,
-      setup.memory_reduction, setup.peak_rss_view_kb,
-      setup.peak_rss_materialized_kb);
+  WriteSetupJson(f, "setup", setup);
+  WriteSetupJson(f, "setup_shuffled", setup_shuffled);
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -232,12 +277,11 @@ int main(int argc, char** argv) {
   SCHOLAR_CHECK_OK(boundaries.status());
 
   const SetupStats setup = MeasureSetup(g, *boundaries);
-  std::printf(
-      "  setup: views %.1f ms vs materialized %.1f ms (%.1fx); "
-      "retained %zu vs %zu bytes (%.1fx)\n",
-      setup.view_build_ms, setup.materialized_extract_ms,
-      setup.setup_speedup, setup.view_bytes, setup.materialized_bytes,
-      setup.memory_reduction);
+  PrintSetup("year-monotone ids", setup);
+  // Same years, so the same boundaries.
+  const SetupStats setup_shuffled =
+      MeasureSetup(ShuffledRelabel(g, kShuffleSeed), *boundaries);
+  PrintSetup("shuffled ids", setup_shuffled);
 
   std::vector<Row> rows;
   std::vector<double> serial_scores;
@@ -258,6 +302,6 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  WriteJson(g, setup, rows, "BENCH_ensemble_scaling.json");
+  WriteJson(g, setup, setup_shuffled, rows, "BENCH_ensemble_scaling.json");
   return 0;
 }

@@ -1,13 +1,13 @@
 /// Rank-scaling baseline — wall time of the pull-based TWPR ranking across
-/// the iteration-engine variant matrix (SIMD x precision x CSR layout x
-/// weight codebook x convergence mode) and across 1/2/4/8 threads, written
+/// the iteration-engine variant matrix (SIMD x precision x weight codebook
+/// x convergence mode) and across 1/2/4/8 threads, written
 /// to BENCH_rank_scaling.json so the perf trajectory is tracked in-repo.
 ///
 /// Two workloads per corpus size:
 ///
 ///   fixed    tolerance 0, a constant 20 iterations — every fixed-sweep
 ///            variant performs identical arithmetic, so these rows isolate
-///            the per-sweep cost of each layout/ISA/precision choice and
+///            the per-sweep cost of each ISA/precision choice and
 ///            carry the identity/drift contracts;
 ///   converge tolerance 1e-12, run to convergence — the production shape.
 ///            Adaptive rows legitimately gather less as regions settle, so
@@ -16,8 +16,7 @@
 /// Contracts asserted here, not just reported:
 ///
 ///   - scalar/avx2 double fixed variants (and every thread count)
-///     reproduce the scalar single-thread scores bit for bit — codebook
-///     and compressed rows included;
+///     reproduce the scalar single-thread scores bit for bit;
 ///   - float-precision fixed rows drift <= 1e-6 absolute from the double
 ///     scores;
 ///   - on the full 1M-node corpus, the best converge-workload variant
@@ -57,7 +56,6 @@ constexpr int kConvergeMaxIterations = 600;
 struct Variant {
   const char* simd;         // "scalar" | "auto" (widest ISA) | "legacy"
   const char* precision;    // "double" | "float"
-  const char* compression;  // "none" | "delta_varint"
   bool adaptive;
   // 0 = the engine's default freeze threshold (1e-13, near-exact).
   // > 0 = an explicit drift budget: rows freeze once no source moved more
@@ -85,7 +83,6 @@ struct Row {
 std::string VariantLabel(const Variant& v) {
   std::string s = v.simd;
   s += v.precision[0] == 'f' && v.precision[1] == 'l' ? "/f32" : "/f64";
-  s += v.compression[0] == 'n' ? "/plain" : "/compressed";
   if (v.codebook) s += "/codebook";
   s += v.adaptive ? "/adaptive" : "/fixed";
   if (v.adaptive && v.adaptive_tol > 0.0) {
@@ -108,7 +105,6 @@ Config TwprConfig(const Variant& v, int threads, bool converge) {
   config.SetInt("threads", threads);
   config.Set("simd", v.simd);
   config.Set("score_precision", v.precision);
-  config.Set("csr_compression", v.compression);
   config.SetBool("weight_codebook", v.codebook);
   config.SetBool("adaptive", v.adaptive);
   if (v.adaptive && v.adaptive_tol > 0.0) {
@@ -164,10 +160,10 @@ void BenchSize(size_t articles, int repeats, std::vector<Row>* rows) {
               corpus.graph.num_edges());
   const unsigned hw = std::thread::hardware_concurrency();
 
-  // The PR-2 baseline: legacy sequential accumulation, double, plain CSR,
-  // fixed sweeps, one thread. Every single-thread variant row reports its
+  // The PR-2 baseline: legacy sequential accumulation, double, fixed
+  // sweeps, one thread. Every single-thread variant row reports its
   // speedup against this.
-  const Variant legacy{"legacy", "double", "none", false};
+  const Variant legacy{"legacy", "double", false};
   Row legacy_row = RunOne(corpus, legacy, /*threads=*/1, repeats,
                           /*oracle_scores=*/nullptr, /*scores_out=*/nullptr);
   legacy_row.speedup_vs_legacy = 1.0;
@@ -178,8 +174,8 @@ void BenchSize(size_t articles, int repeats, std::vector<Row>* rows) {
               legacy_row.variant.c_str(), legacy_ms);
   rows->push_back(legacy_row);
 
-  // Bit-exactness oracle: scalar/double/plain/fixed at one thread.
-  const Variant scalar_ref{"scalar", "double", "none", false};
+  // Bit-exactness oracle: scalar/double/fixed at one thread.
+  const Variant scalar_ref{"scalar", "double", false};
   std::vector<double> oracle;
   Row oracle_row = RunOne(corpus, scalar_ref, /*threads=*/1, repeats,
                           /*oracle_scores=*/nullptr, &oracle);
@@ -192,45 +188,41 @@ void BenchSize(size_t articles, int repeats, std::vector<Row>* rows) {
               oracle_row.speedup_vs_legacy);
 
   // Single-thread variant matrix: {scalar, widest-ISA} x {double, float} x
-  // {plain, compressed} x {fixed, adaptive}, skipping the oracle already
-  // measured above.
+  // {fixed, adaptive}, skipping the oracle already measured above.
   double best_speedup = oracle_row.speedup_vs_legacy;
   std::string best_variant = oracle_row.variant;
   for (const char* simd : {"scalar", "auto"}) {
     for (const char* precision : {"double", "float"}) {
-      for (const char* compression : {"none", "delta_varint"}) {
-        for (bool adaptive : {false, true}) {
-          const Variant v{simd, precision, compression, adaptive};
-          if (VariantLabel(v) == oracle_row.variant) continue;
-          Row row =
-              RunOne(corpus, v, /*threads=*/1, repeats, &oracle, nullptr);
-          row.speedup_vs_legacy = legacy_ms / row.wall_ms;
-          row.speedup_vs_1 = 1.0;
-          const std::string accuracy =
-              row.bit_identical
-                  ? std::string("bit-identical")
-                  : "max_abs_diff=" + std::to_string(row.max_abs_diff);
-          std::printf(
-              "  variant  %-28s wall_ms=%9.1f  speedup_vs_legacy=%5.2fx  "
-              "%s\n",
-              row.variant.c_str(), row.wall_ms, row.speedup_vs_legacy,
-              accuracy.c_str());
-          const bool is_double = std::string(precision) == "double";
-          if (is_double && !adaptive) {
-            SCHOLAR_CHECK(row.bit_identical)
-                << row.variant
-                << " must reproduce the scalar oracle bit for bit";
-          } else if (!is_double && !adaptive) {
-            SCHOLAR_CHECK(row.max_abs_diff <= kFloatDriftBound)
-                << row.variant << " drifted " << row.max_abs_diff
-                << " > " << kFloatDriftBound << " from the double scores";
-          }
-          if (row.speedup_vs_legacy > best_speedup) {
-            best_speedup = row.speedup_vs_legacy;
-            best_variant = row.variant;
-          }
-          rows->push_back(std::move(row));
+      for (bool adaptive : {false, true}) {
+        const Variant v{simd, precision, adaptive};
+        if (VariantLabel(v) == oracle_row.variant) continue;
+        Row row = RunOne(corpus, v, /*threads=*/1, repeats, &oracle, nullptr);
+        row.speedup_vs_legacy = legacy_ms / row.wall_ms;
+        row.speedup_vs_1 = 1.0;
+        const std::string accuracy =
+            row.bit_identical
+                ? std::string("bit-identical")
+                : "max_abs_diff=" + std::to_string(row.max_abs_diff);
+        std::printf(
+            "  variant  %-28s wall_ms=%9.1f  speedup_vs_legacy=%5.2fx  "
+            "%s\n",
+            row.variant.c_str(), row.wall_ms, row.speedup_vs_legacy,
+            accuracy.c_str());
+        const bool is_double = std::string(precision) == "double";
+        if (is_double && !adaptive) {
+          SCHOLAR_CHECK(row.bit_identical)
+              << row.variant
+              << " must reproduce the scalar oracle bit for bit";
+        } else if (!is_double && !adaptive) {
+          SCHOLAR_CHECK(row.max_abs_diff <= kFloatDriftBound)
+              << row.variant << " drifted " << row.max_abs_diff
+              << " > " << kFloatDriftBound << " from the double scores";
         }
+        if (row.speedup_vs_legacy > best_speedup) {
+          best_speedup = row.speedup_vs_legacy;
+          best_variant = row.variant;
+        }
+        rows->push_back(std::move(row));
       }
     }
   }
@@ -238,8 +230,8 @@ void BenchSize(size_t articles, int repeats, std::vector<Row>* rows) {
   // The double row must stay bit-identical (the table round-trips the
   // exact weight bits); the float row inherits the mirror's drift bound.
   for (const Variant& v :
-       {Variant{"auto", "double", "none", false, 0.0, true},
-        Variant{"auto", "float", "none", false, 0.0, true}}) {
+       {Variant{"auto", "double", false, 0.0, true},
+        Variant{"auto", "float", false, 0.0, true}}) {
     Row row = RunOne(corpus, v, /*threads=*/1, repeats, &oracle, nullptr);
     row.speedup_vs_legacy = legacy_ms / row.wall_ms;
     row.speedup_vs_1 = 1.0;
@@ -267,9 +259,9 @@ void BenchSize(size_t articles, int repeats, std::vector<Row>* rows) {
   // With the default 1e-13 threshold almost no row freezes inside 20
   // sweeps; these rows spend an explicit per-source budget and report the
   // score drift they actually bought with it.
-  for (const Variant& v : {Variant{"auto", "double", "none", true, 1e-10},
-                           Variant{"auto", "double", "none", true, 1e-8},
-                           Variant{"auto", "float", "none", true, 1e-8}}) {
+  for (const Variant& v : {Variant{"auto", "double", true, 1e-10},
+                           Variant{"auto", "double", true, 1e-8},
+                           Variant{"auto", "float", true, 1e-8}}) {
     Row row = RunOne(corpus, v, /*threads=*/1, repeats, &oracle, nullptr);
     row.speedup_vs_legacy = legacy_ms / row.wall_ms;
     row.speedup_vs_1 = 1.0;
@@ -290,11 +282,10 @@ void BenchSize(size_t articles, int repeats, std::vector<Row>* rows) {
       "budget): %s at %.2fx vs legacy\n",
       kFloatDriftBound, best_variant.c_str(), best_speedup);
 
-  // Thread sweep of the headline variant (widest ISA, double, plain,
-  // fixed): speedup_vs_1 plus bit-identity against the *scalar* oracle at
-  // every thread count — one comparison proves both ISA- and
-  // thread-invariance.
-  const Variant sweep{"auto", "double", "none", false};
+  // Thread sweep of the headline variant (widest ISA, double, fixed):
+  // speedup_vs_1 plus bit-identity against the *scalar* oracle at every
+  // thread count — one comparison proves both ISA- and thread-invariance.
+  const Variant sweep{"auto", "double", false};
   double sweep_serial_ms = 0.0;
   for (int threads : kThreadCounts) {
     Row row = RunOne(corpus, sweep, threads, repeats, &oracle, nullptr);
@@ -336,7 +327,7 @@ void BenchConverge(size_t articles, std::vector<Row>* rows) {
   const Corpus corpus = MakeBenchCorpus("aminer", articles);
   const bool full_corpus = corpus.graph.num_nodes() >= 1000000;
 
-  const Variant legacy{"legacy", "double", "none", false};
+  const Variant legacy{"legacy", "double", false};
   std::vector<double> converged;
   Row legacy_row = RunOne(corpus, legacy, /*threads=*/1, /*repeats=*/1,
                           /*oracle_scores=*/nullptr, &converged,
@@ -353,13 +344,13 @@ void BenchConverge(size_t articles, std::vector<Row>* rows) {
   // @1e-11 freeze thresholds spend part of the 1e-6 budget on freezing
   // slow-moving rows earlier (measured drift stays 2-3 decades under it).
   const Variant converge_variants[] = {
-      {"auto", "double", "none", false},                   // SIMD only
-      {"auto", "double", "none", false, 0.0, true},        // + codebook
-      {"auto", "double", "none", true},                    // near-exact
-      {"auto", "double", "none", true, 0.0, true},
-      {"auto", "float", "none", true, 1e-12, false},
-      {"auto", "float", "none", true, 1e-12, true},
-      {"auto", "float", "none", true, 1e-11, true},
+      {"auto", "double", false},                   // SIMD only
+      {"auto", "double", false, 0.0, true},        // + codebook
+      {"auto", "double", true},                    // near-exact
+      {"auto", "double", true, 0.0, true},
+      {"auto", "float", true, 1e-12, false},
+      {"auto", "float", true, 1e-12, true},
+      {"auto", "float", true, 1e-11, true},
   };
   double best_speedup = 0.0;
   std::string best_variant = "(none)";

@@ -21,7 +21,6 @@
 #include "data/ground_truth.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
-#include "rank/kernel/compressed_csr.h"
 #include "rank/ranker.h"
 #include "serve/snapshot.h"
 #include "stream/edge_batch.h"
@@ -273,58 +272,6 @@ void MakeServeRequestCorpus(const std::filesystem::path& root) {
             "ping\r\nscore 0\nrank 2\ntop_k 5 1");
 }
 
-void MakeCompressedCsrCorpus(const std::filesystem::path& root) {
-  // Framing understood by fuzz_compressed_csr: [count:2][max_id:4] little
-  // endian, then the row's varint bytes (the harness clamps max_id to
-  // 1 + (field & 0xFFFFF)).
-  auto frame = [](size_t count, uint32_t max_id_field,
-                  const std::string& row) {
-    std::string bytes;
-    bytes.push_back(static_cast<char>(count & 0xff));
-    bytes.push_back(static_cast<char>((count >> 8) & 0xff));
-    for (int i = 0; i < 4; ++i) {
-      bytes.push_back(static_cast<char>((max_id_field >> (8 * i)) & 0xff));
-    }
-    return bytes + row;
-  };
-  auto encode = [](const std::vector<scholar::NodeId>& ids) {
-    std::vector<uint8_t> enc;
-    scholar::kernel::EncodeVarintRow(ids.data(), ids.size(), &enc);
-    return std::string(enc.begin(), enc.end());
-  };
-
-  // Valid shapes: an ascending in-CSR row (small positive deltas) and a
-  // hub-relabeled row (negative deltas exercise the zigzag path).
-  const std::vector<scholar::NodeId> ascending = {0, 1, 5, 6, 100, 4000};
-  WriteFile(root / "seed" / "ascending_row",
-            frame(ascending.size(), 0xFFFFFu, encode(ascending)));
-  const std::vector<scholar::NodeId> relabeled = {4000, 5, 900, 2, 2};
-  WriteFile(root / "seed" / "hub_relabeled_row",
-            frame(relabeled.size(), 0xFFFFFu, encode(relabeled)));
-  WriteFile(root / "seed" / "empty_row", frame(0, 0xFFFFFu, ""));
-
-  // Shapes the checked decoder must keep rejecting.
-  const std::string row = encode(ascending);
-  WriteFile(root / "regression" / "truncated_varint",
-            frame(ascending.size(), 0xFFFFFu,
-                  row.substr(0, row.size() - 1)));
-  // Eleven continuation bytes: longer than any 64-bit varint can be.
-  WriteFile(root / "regression" / "varint_too_long",
-            frame(1, 0xFFFFFu, std::string(11, '\x80') + '\x01'));
-  // A maximal 10-byte varint whose decoded delta lands the id far outside
-  // [0, max_id) — the overflow guard on the running delta sum.
-  WriteFile(
-      root / "regression" / "overflowing_delta",
-      frame(1, 0xFFFFFu,
-            std::string("\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01", 10)));
-  // zigzag(-1) as the first delta: id -1, below the range floor.
-  WriteFile(root / "regression" / "negative_first_id",
-            frame(1, 0xFFFFFu, "\x01"));
-  // Valid varints whose ids exceed a tiny max_id (field 0 -> max_id 1).
-  WriteFile(root / "regression" / "id_out_of_range",
-            frame(ascending.size(), 0, row));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -339,7 +286,6 @@ int main(int argc, char** argv) {
   MakeSnapshotCorpus(root / "snapshot");
   MakeServeRequestCorpus(root / "serve_request");
   MakeEdgeBatchCorpus(root / "edge_batch");
-  MakeCompressedCsrCorpus(root / "compressed_csr");
   std::fprintf(stderr, "corpora written under %s\n", root.c_str());
   return 0;
 }

@@ -19,13 +19,6 @@ namespace {
 /// independent.
 constexpr size_t kNodeGrain = 2048;
 
-/// Everything one snapshot produces before it is folded into the ensemble.
-struct SnapshotRun {
-  SnapshotView view;
-  RankResult sub;
-  std::vector<double> normalized;
-};
-
 }  // namespace
 
 Result<EnsembleCombiner> EnsembleCombinerFromString(const std::string& name) {
@@ -103,21 +96,20 @@ Result<RankResult> EnsembleRanker::RankWithDetails(
       ComputeSliceBoundaries(g, options_.num_slices, options_.partition));
   const size_t n = g.num_nodes();
   const size_t k = boundaries.size();
-  const size_t workers = EffectiveThreads(options_.threads, ctx);
+  const size_t workers = ResolveThreads(options_.threads);
   // The ensemble owns its pool outright: scratch.PoolFor() rebuilds its pool
   // whenever a base ranker asks for a different width, so lending scratch to
   // base rankers while also borrowing its pool would dangle.
   std::unique_ptr<ThreadPool> owned_pool =
       workers > 1 ? std::make_unique<ThreadPool>(workers - 1) : nullptr;
   ThreadPool* pool = owned_pool.get();
-  // In the sequential (warm-start) mode every base-ranker call reuses this
-  // scratch's buffers instead of reallocating per snapshot.
+  // Every base-ranker call reuses this scratch's buffers instead of
+  // reallocating per snapshot.
   PowerIterationScratch scratch;
 
   // One index serves all k snapshots: each is a zero-copy prefix view of
   // the year-sorted graph. TWPR's decay weights are cached once on that
-  // graph and shared read-only by every snapshot rank (the cache is
-  // thread-safe, so the parallel mode shares it too).
+  // graph and shared read-only by every snapshot rank.
   const TemporalCsr tcsr(g);
   const CitationGraph& sg = tcsr.sorted_graph();
   TwprWeightCache twpr_cache;
@@ -148,82 +140,117 @@ Result<RankResult> EnsembleRanker::RankWithDetails(
   RankResult result;
   result.converged = true;
 
-  // Ranks one snapshot and normalizes its scores. Runs entirely on the
-  // calling thread; inner parallelism is bounded by `sub_max_threads` (the
-  // base ranker clamp) and `norm_pool` (the cohort-normalization pool).
-  auto run_snapshot = [&](size_t i, SnapshotRun* run,
-                          const std::vector<double>* initial,
-                          int sub_max_threads,
-                          PowerIterationScratch* sub_scratch,
-                          ThreadPool* norm_pool) -> Status {
+  // Snapshots rank one after another, in index order, and each is folded
+  // into the running totals before the next starts; inner parallelism
+  // comes from the base ranker's own threads and from `pool`. The
+  // floating-point accumulation order — and therefore the scores — is
+  // independent of the thread count.
+  for (size_t i = 0; i < k; ++i) {
+    const SnapshotView view = tcsr.MakeView(boundaries[i]);
+    const size_t sn = view.num_nodes();
+    if (sn == 0) continue;
+
     RankContext sub_ctx;
-    sub_ctx.view = &run->view;
+    sub_ctx.view = &view;
     sub_ctx.authors = ctx.authors;
     sub_ctx.venues = ctx.venues;
     sub_ctx.twpr_cache = &twpr_cache;
     sub_ctx.now_year = boundaries[i];
-    sub_ctx.max_threads = sub_max_threads;
-    sub_ctx.scratch = sub_scratch;
-    if (initial != nullptr) sub_ctx.initial_scores = initial;
+    sub_ctx.scratch = &scratch;
 
-    SCHOLAR_ASSIGN_OR_RETURN(run->sub, base_->Rank(sub_ctx));
-
-    if (options_.scope == NormalizationScope::kSnapshot) {
-      run->normalized = NormalizeScores(run->sub.scores, options_.normalizer);
-      return Status::OK();
-    }
-    // Normalize each generation separately: gather the snapshot nodes of
-    // every group (time slice or publication year), normalize within the
-    // group, and scatter back. Groups touch disjoint slots of normalized,
-    // so whole groups parallelize safely.
-    run->normalized.assign(run->sub.scores.size(), 0.0);
-    const bool by_year = options_.scope == NormalizationScope::kYearCohort;
-    const Year min_year = sg.min_year();
-    const size_t num_groups =
-        by_year ? static_cast<size_t>(sg.max_year() - min_year) + 1 : k;
-    std::vector<std::vector<NodeId>> groups(num_groups);
-    for (NodeId s = 0; s < run->view.num_nodes(); ++s) {
-      const size_t key = by_year
-                             ? static_cast<size_t>(sg.year(s) - min_year)
-                             : first_snapshot[s];
-      groups[key].push_back(s);
-    }
-    ParallelFor(norm_pool, num_groups, 1, [&](size_t gb, size_t ge) {
-      std::vector<double> group_scores;
-      for (size_t gi = gb; gi < ge; ++gi) {
-        const std::vector<NodeId>& group = groups[gi];
-        if (group.empty()) continue;
-        group_scores.clear();
-        for (NodeId s : group) group_scores.push_back(run->sub.scores[s]);
-        std::vector<double> group_norm =
-            NormalizeScores(group_scores, options_.normalizer);
-        for (size_t t = 0; t < group.size(); ++t) {
-          run->normalized[group[t]] = group_norm[t];
+    std::vector<double> initial;
+    if (options_.warm_start && !prev_scores.empty()) {
+      // Nodes new to this snapshot start at the mean previous score. The
+      // mean is a chunked reduction combined in chunk order, so it is
+      // exact across thread counts.
+      initial.resize(sn);
+      const size_t chunks = ChunkCount(sn, kNodeGrain);
+      std::vector<double> part_total(chunks, 0.0);
+      std::vector<size_t> part_known(chunks, 0);
+      ParallelForChunks(pool, sn, kNodeGrain,
+                        [&](size_t chunk, size_t begin, size_t end) {
+        double total = 0.0;
+        size_t known = 0;
+        for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
+          const double prev = prev_scores[s];
+          if (prev > 0.0) {
+            total += prev;
+            ++known;
+          }
         }
+        part_total[chunk] = total;
+        part_known[chunk] = known;
+      });
+      double total = 0.0;
+      size_t known = 0;
+      for (size_t c = 0; c < chunks; ++c) {
+        total += part_total[c];
+        known += part_known[c];
       }
-    });
-    return Status::OK();
-  };
+      const double fallback = known > 0
+                                  ? total / static_cast<double>(known)
+                                  : 1.0 / static_cast<double>(sn);
+      ParallelFor(pool, sn, kNodeGrain, [&](size_t begin, size_t end) {
+        for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
+          const double prev = prev_scores[s];
+          initial[s] = prev > 0.0 ? prev : fallback;
+        }
+      });
+      sub_ctx.initial_scores = &initial;
+    }
 
-  // Folds one finished snapshot into the running totals, then releases its
-  // memory. Called in snapshot-index order in both execution modes, so the
-  // floating-point accumulation order — and therefore the scores — is
-  // independent of the thread count.
-  auto accumulate = [&](size_t i, SnapshotRun* run) {
-    const size_t sn = run->view.num_nodes();
-    result.iterations += run->sub.iterations;
-    result.converged = result.converged && run->sub.converged;
-    result.final_residual =
-        std::max(result.final_residual, run->sub.final_residual);
+    SCHOLAR_ASSIGN_OR_RETURN(RankResult sub, base_->Rank(sub_ctx));
+    if (options_.warm_start) {
+      prev_scores.assign(n, 0.0);
+      ParallelFor(pool, sn, kNodeGrain, [&](size_t begin, size_t end) {
+        for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
+          prev_scores[s] = sub.scores[s];
+        }
+      });
+    }
+
+    std::vector<double> normalized;
+    if (options_.scope == NormalizationScope::kSnapshot) {
+      normalized = NormalizeScores(sub.scores, options_.normalizer);
+    } else {
+      // Normalize each generation separately. A generation (publication
+      // year, or first snapshot) is a contiguous id run of the sorted
+      // prefix, so one pass finds the group bounds and no table is sized
+      // by the year span. Groups touch disjoint slots of normalized, so
+      // whole groups parallelize safely.
+      const bool by_year = options_.scope == NormalizationScope::kYearCohort;
+      std::vector<size_t> group_begin = {0};
+      for (NodeId s = 1; s < sn; ++s) {
+        const bool new_group = by_year
+                                   ? sg.year(s) != sg.year(s - 1)
+                                   : first_snapshot[s] != first_snapshot[s - 1];
+        if (new_group) group_begin.push_back(s);
+      }
+      group_begin.push_back(sn);
+      normalized.resize(sn);
+      ParallelFor(pool, group_begin.size() - 1, 1, [&](size_t gb, size_t ge) {
+        for (size_t gi = gb; gi < ge; ++gi) {
+          const auto first = sub.scores.begin() + group_begin[gi];
+          const auto last = sub.scores.begin() + group_begin[gi + 1];
+          const std::vector<double> group_norm = NormalizeScores(
+              std::vector<double>(first, last), options_.normalizer);
+          std::copy(group_norm.begin(), group_norm.end(),
+                    normalized.begin() + group_begin[gi]);
+        }
+      });
+    }
+
+    result.iterations += sub.iterations;
+    result.converged = result.converged && sub.converged;
+    result.final_residual = std::max(result.final_residual, sub.final_residual);
     if (details != nullptr) {
       details->push_back(
-          {boundaries[i], sn, run->view.CountEdges(), run->sub.iterations});
+          {boundaries[i], sn, view.CountEdges(), sub.iterations});
     }
     const double weight =
         options_.combiner == EnsembleCombiner::kMean
             ? 1.0
             : std::pow(options_.gamma, static_cast<double>(k - 1 - i));
-    const std::vector<double>& normalized = run->normalized;
     ParallelFor(pool, sn, kNodeGrain, [&](size_t begin, size_t end) {
       for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
         if (options_.window > 0 &&
@@ -234,91 +261,6 @@ Result<RankResult> EnsembleRanker::RankWithDetails(
         weight_sum[s] += weight;
       }
     });
-    *run = SnapshotRun{};
-  };
-
-  const bool parallel_snapshots =
-      !options_.warm_start && workers > 1 && k > 1;
-  if (parallel_snapshots) {
-    // Without warm starts the k snapshot rankings are independent: rank
-    // them concurrently (base ranker clamped to one thread each so the two
-    // levels never oversubscribe), then fold in index order.
-    std::vector<SnapshotRun> runs(k);
-    std::vector<Status> statuses(k);
-    ParallelForChunks(pool, k, 1, [&](size_t c, size_t, size_t) {
-      runs[c].view = tcsr.MakeView(boundaries[c]);
-      if (runs[c].view.num_nodes() == 0) return;
-      statuses[c] = run_snapshot(c, &runs[c], /*initial=*/nullptr,
-                                 /*sub_max_threads=*/1,
-                                 /*sub_scratch=*/nullptr,
-                                 /*norm_pool=*/nullptr);
-    });
-    for (size_t i = 0; i < k; ++i) {
-      SCHOLAR_RETURN_NOT_OK(statuses[i]);
-      if (runs[i].view.num_nodes() == 0) continue;
-      accumulate(i, &runs[i]);
-    }
-  } else {
-    for (size_t i = 0; i < k; ++i) {
-      SnapshotRun run;
-      run.view = tcsr.MakeView(boundaries[i]);
-      const size_t sn = run.view.num_nodes();
-      if (sn == 0) continue;
-
-      std::vector<double> initial;
-      const std::vector<double>* initial_ptr = nullptr;
-      if (options_.warm_start && !prev_scores.empty()) {
-        // Nodes new to this snapshot start at the mean previous score. The
-        // mean is a chunked reduction combined in chunk order, so it is
-        // exact across thread counts.
-        initial.resize(sn);
-        const size_t chunks = ChunkCount(sn, kNodeGrain);
-        std::vector<double> part_total(chunks, 0.0);
-        std::vector<size_t> part_known(chunks, 0);
-        ParallelForChunks(pool, sn, kNodeGrain,
-                          [&](size_t chunk, size_t begin, size_t end) {
-          double total = 0.0;
-          size_t known = 0;
-          for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
-            const double prev = prev_scores[s];
-            if (prev > 0.0) {
-              total += prev;
-              ++known;
-            }
-          }
-          part_total[chunk] = total;
-          part_known[chunk] = known;
-        });
-        double total = 0.0;
-        size_t known = 0;
-        for (size_t c = 0; c < chunks; ++c) {
-          total += part_total[c];
-          known += part_known[c];
-        }
-        const double fallback = known > 0
-                                    ? total / static_cast<double>(known)
-                                    : 1.0 / static_cast<double>(sn);
-        ParallelFor(pool, sn, kNodeGrain, [&](size_t begin, size_t end) {
-          for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
-            const double prev = prev_scores[s];
-            initial[s] = prev > 0.0 ? prev : fallback;
-          }
-        });
-        initial_ptr = &initial;
-      }
-
-      SCHOLAR_RETURN_NOT_OK(run_snapshot(i, &run, initial_ptr,
-                                         ctx.max_threads, &scratch, pool));
-      if (options_.warm_start) {
-        prev_scores.assign(n, 0.0);
-        ParallelFor(pool, sn, kNodeGrain, [&](size_t begin, size_t end) {
-          for (NodeId s = static_cast<NodeId>(begin); s < end; ++s) {
-            prev_scores[s] = run.sub.scores[s];
-          }
-        });
-      }
-      accumulate(i, &run);
-    }
   }
 
   // Scatter the sorted-space totals back to parent node ids (a bijection,

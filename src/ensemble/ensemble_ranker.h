@@ -66,14 +66,12 @@ struct EnsembleOptions {
   /// scores. Purely a speedup — the fixed points are unchanged — and it
   /// typically halves the total power-iteration count of the ensemble.
   bool warm_start = true;
-  /// Worker threads: 0 = hardware concurrency, 1 = serial. With
-  /// warm_start=false the k snapshot rankings are independent and run
-  /// concurrently (the base ranker is capped to one thread per snapshot so
-  /// the two levels never oversubscribe); with warm_start=true the chain
-  /// stays sequential but the per-snapshot warm-start extraction,
-  /// normalization scatter, and accumulation run on the pool, and the base
-  /// ranker inherits the full thread budget. Scores are bit-identical at
-  /// every setting.
+  /// Worker threads: 0 = hardware concurrency, 1 = serial. Snapshots rank
+  /// one after another in index order, with or without warm starts; the
+  /// per-snapshot warm-start extraction, cohort normalization and
+  /// accumulation run on the pool, and each snapshot's solve uses the base
+  /// ranker's own `threads` option (the registry's `threads=` key sets
+  /// both). Scores are bit-identical at every setting.
   int threads = 0;
 };
 

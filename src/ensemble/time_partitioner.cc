@@ -16,18 +16,27 @@ Result<std::vector<Year>> ComputeSliceBoundaries(const CitationGraph& graph,
     return Status::InvalidArgument("num_slices must be >= 1, got " +
                                    std::to_string(num_slices));
   }
-  const Year lo = graph.min_year();
   const Year hi = graph.max_year();
 
   std::vector<Year> boundaries;
   if (strategy == PartitionStrategy::kEqualSpan) {
-    const double span = static_cast<double>(hi - lo + 1);
+    // The spans cover the known years only (see kUnknownYear); articles
+    // with an unknown year sort first and land in every snapshot.
+    Year lo = graph.min_year();
+    if (lo == kUnknownYear) {
+      lo = hi;
+      for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+        if (graph.year(u) != kUnknownYear) lo = std::min(lo, graph.year(u));
+      }
+    }
+    const double span = static_cast<double>(YearGap(hi, lo) + 1);
     for (int i = 1; i <= num_slices; ++i) {
-      Year b = lo - 1 +
-               static_cast<Year>(span * static_cast<double>(i) / num_slices);
+      const int64_t b =
+          int64_t{lo} - 1 +
+          static_cast<int64_t>(span * static_cast<double>(i) / num_slices);
       // Clamp into [lo, hi]: a boundary before the first publication year
       // would produce a useless empty snapshot.
-      boundaries.push_back(std::clamp(b, lo, hi));
+      boundaries.push_back(static_cast<Year>(std::clamp<int64_t>(b, lo, hi)));
     }
   } else {
     // Cumulative article counts per distinct year.

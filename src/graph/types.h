@@ -21,7 +21,21 @@ using Year = int32_t;
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 
 /// Sentinel for "unknown publication year".
+///
+/// The rule for unknown years: kUnknownYear is an ordinary Year that sorts
+/// before every known year, so an article with an unknown year reads as
+/// older than every known one (TemporalCsr and ExtractSnapshot already
+/// order it that way, and every snapshot keeps it). Take every difference
+/// of two years with YearGap: an int32 subtraction involving the sentinel
+/// overflows. Quantities that span years (equal-span slice boundaries)
+/// span the known years only.
 inline constexpr Year kUnknownYear = std::numeric_limits<Year>::min();
+
+/// `later - earlier`, exact for every pair of Year values, kUnknownYear
+/// included.
+inline constexpr int64_t YearGap(Year later, Year earlier) {
+  return static_cast<int64_t>(later) - static_cast<int64_t>(earlier);
+}
 
 }  // namespace scholar
 

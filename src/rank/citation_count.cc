@@ -27,7 +27,7 @@ Result<RankResult> AgeNormalizedCitationCountRanker::RankImpl(const RankContext&
     // Age is clamped below at 1 year so same-year articles are not divided
     // by zero (and future-dated articles, which occur in dirty data, do not
     // get a negative divisor).
-    double age = std::max(1, now - g.years[v] + 1);
+    const double age = std::max<int64_t>(1, YearGap(now, g.years[v]) + 1);
     result.scores[v] = static_cast<double>(g.InDegree(v)) / age;
   }
   return result;

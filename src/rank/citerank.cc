@@ -29,14 +29,13 @@ Result<RankResult> CiteRankRanker::RankImpl(const RankContext& ctx) const {
   std::vector<double> jump(n);
   double total = 0.0;
   for (NodeId v = 0; v < n; ++v) {
-    const double age = std::max(0, now - years[v]);
+    const double age = std::max<int64_t>(0, YearGap(now, years[v]));
     jump[v] = std::exp(-age / options_.tau);
     total += jump[v];
   }
   for (double& j : jump) j /= total;
 
-  PowerIterationOptions power = options_.power;
-  power.threads = static_cast<int>(EffectiveThreads(power.threads, ctx));
+  const PowerIterationOptions& power = options_.power;
   const std::vector<double> no_initial;
   const std::vector<double>& initial =
       ctx.initial_scores != nullptr ? *ctx.initial_scores : no_initial;

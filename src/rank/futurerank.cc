@@ -32,7 +32,8 @@ Result<RankResult> FutureRankRanker::RankImpl(const RankContext& ctx) const {
   std::vector<double> time_term(n);
   double time_total = 0.0;
   for (NodeId v = 0; v < n; ++v) {
-    time_term[v] = std::exp(-o.rho * std::max(0, now - g.years[v]));
+    time_term[v] =
+        std::exp(-o.rho * std::max<int64_t>(0, YearGap(now, g.years[v])));
     time_total += time_term[v];
   }
   for (double& t : time_term) t /= time_total;

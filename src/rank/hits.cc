@@ -51,12 +51,8 @@ double NormalizeL2(std::vector<double>* v, ThreadPool* pool,
 HitsRanker::HitsRanker(HitsOptions options) : options_(options) {}
 
 Result<HitsRanker::HubsAndAuthorities> HitsRanker::RankBoth(
-    const CitationGraph& g, int max_threads) const {
-  size_t workers = ResolveThreads(options_.threads);
-  if (max_threads > 0 && static_cast<size_t>(max_threads) < workers) {
-    workers = static_cast<size_t>(max_threads);
-  }
-  return RankBothOnAccess(AccessOf(g), workers);
+    const CitationGraph& g) const {
+  return RankBothOnAccess(AccessOf(g), ResolveThreads(options_.threads));
 }
 
 Result<HitsRanker::HubsAndAuthorities> HitsRanker::RankBothOnAccess(
@@ -142,7 +138,7 @@ Result<HitsRanker::HubsAndAuthorities> HitsRanker::RankBothOnAccess(
 
 Result<RankResult> HitsRanker::RankImpl(const RankContext& ctx) const {
   SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
-  const size_t workers = EffectiveThreads(options_.threads, ctx);
+  const size_t workers = ResolveThreads(options_.threads);
   ViewRowEnds rows;
   SCHOLAR_ASSIGN_OR_RETURN(
       HubsAndAuthorities both,

@@ -20,7 +20,7 @@ struct HitsOptions {
   /// Worker threads for the gather passes: 0 = hardware concurrency,
   /// 1 = serial. Bit-identical results at every setting.
   int threads = 0;
-  /// Iteration-engine variant knobs (SIMD / precision / CSR layout /
+  /// Iteration-engine variant knobs (SIMD / precision / weight codebook /
   /// adaptive convergence), applied to both gather orientations; see
   /// rank/kernel/kernel_options.h.
   kernel::KernelOptions kernel;
@@ -40,10 +40,7 @@ class HitsRanker : public Ranker {
     int iterations = 0;
     bool converged = true;
   };
-  /// `max_threads` caps options().threads for this call (0 = no cap); the
-  /// ensemble uses the cap when it already parallelizes across snapshots.
-  Result<HubsAndAuthorities> RankBoth(const CitationGraph& graph,
-                                      int max_threads = 0) const;
+  Result<HubsAndAuthorities> RankBoth(const CitationGraph& graph) const;
 
  private:
   /// The iteration, written against GraphAccess so full graphs and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <unordered_map>
 
 #include "rank/kernel/simd.h"
@@ -30,8 +29,6 @@ Status GatherEngine::Init(const GraphAccess& access, GatherDirection direction,
                           const KernelOptions& options, ThreadPool* pool) {
   ResolvedKernel rk;
   rk.precision = options.precision;
-  rk.compression = options.compression;
-  rk.hub_order = options.hub_order;
   rk.weight_codebook = options.weight_codebook;
   rk.adaptive = options.adaptive;
   rk.adaptive_tolerance = options.adaptive_tolerance;
@@ -97,49 +94,6 @@ Status GatherEngine::Init(const GraphAccess& access, GatherDirection direction,
     weight_codes_.clear();
     code_table_.clear();
     code_table_f32_.clear();
-  }
-
-  if (rk.hub_order) {
-    // Appearance count of each source across the gathered rows — the
-    // number of gather loads that will hit its contribution slot.
-    std::vector<uint32_t> counts(num_rows_, 0);
-    for (size_t v = 0; v < num_rows_; ++v) {
-      for (EdgeId p = row_begin_[v]; p < row_end_[v]; ++p) {
-        ++counts[row_nbrs_[p]];
-      }
-    }
-    std::vector<NodeId> order(num_rows_);
-    std::iota(order.begin(), order.end(), NodeId{0});
-    std::sort(order.begin(), order.end(), [&counts](NodeId a, NodeId b) {
-      if (counts[a] != counts[b]) return counts[a] > counts[b];
-      return a < b;
-    });
-    source_relabel_.resize(num_rows_);
-    for (size_t i = 0; i < num_rows_; ++i) {
-      source_relabel_[order[i]] = static_cast<NodeId>(i);
-    }
-    relabeled_nbrs_.resize(extent);
-    ParallelFor(pool_, num_rows_, kRowGrain, [&](size_t begin, size_t end) {
-      for (size_t v = begin; v < end; ++v) {
-        for (EdgeId p = row_begin_[v]; p < row_end_[v]; ++p) {
-          relabeled_nbrs_[p] = source_relabel_[row_nbrs_[p]];
-        }
-      }
-    });
-    contrib_hub_.resize(num_rows_);
-  } else {
-    source_relabel_.clear();
-    relabeled_nbrs_.clear();
-    contrib_hub_.clear();
-  }
-
-  if (rk.compression == CsrCompression::kDeltaVarint) {
-    const NodeId* nbrs =
-        rk.hub_order ? relabeled_nbrs_.data() : row_nbrs_;
-    compressed_.Build(  // NOLINT(unchecked-status): CompressedInCsr::Build returns void; name-collides with ScoreSnapshot::Build
-        row_begin_, row_end_, nbrs, num_rows_, pool_);
-  } else {
-    compressed_ = CompressedInCsr();
   }
 
   if (rk.precision == ScorePrecision::kFloat) {
@@ -245,28 +199,15 @@ void GatherEngine::BuildWeightCodebook(const double* edge_weights) {
 template <typename Eval>
 void GatherEngine::SweepRows(const Eval& eval) {
   const bool use_stale = resolved_.adaptive;
-  const bool compressed =
-      resolved_.compression == CsrCompression::kDeltaVarint;
-  const NodeId* nbrs =
-      resolved_.hub_order ? relabeled_nbrs_.data() : row_nbrs_;
   const size_t chunks = ChunkCount(num_rows_, kRowGrain);
   chunk_rows_.assign(chunks, 0);
   ParallelForChunks(pool_, num_rows_, kRowGrain,
                     [&](size_t chunk, size_t begin, size_t end) {
-    std::vector<NodeId> decode;
-    if (compressed) decode.resize(compressed_.max_row_degree());
     size_t rows = 0;
     for (size_t v = begin; v < end; ++v) {
       if (use_stale && !stale_[v]) continue;
       const size_t k = static_cast<size_t>(row_end_[v] - row_begin_[v]);
-      const NodeId* idx;
-      if (compressed) {
-        compressed_.DecodeRow(v, k, decode.data());
-        idx = decode.data();
-      } else {
-        idx = nbrs + row_begin_[v];
-      }
-      gather_[v] = eval(v, idx, k);
+      gather_[v] = eval(v, row_nbrs_ + row_begin_[v], k);
       ++rows;
     }
     chunk_rows_[chunk] = rows;
@@ -283,8 +224,7 @@ template <double (*kSum)(const double*, const NodeId*, size_t),
                            const NodeId*, size_t)>
 void GatherEngine::RunVariant(const double* contrib_d, const double* w_d,
                               bool use_codes) {
-  // Codes are indexed by raw edge id, exactly like w_d — hub_order
-  // relabels only the neighbor *values*, never the edge positions.
+  // Codes are indexed by edge id, exactly like w_d.
   const uint8_t* codes = weight_codes_.data();
   if (resolved_.precision == ScorePrecision::kDouble) {
     if (use_codes) {
@@ -335,31 +275,13 @@ const double* GatherEngine::Gather(const double* contrib,
   }
   const bool use_codes = codebook_active_ && edge_weights != nullptr;
 
-  // Stage the contribution array in the layout/precision the sweep reads.
-  const double* contrib_d = contrib;
-  if (resolved_.precision == ScorePrecision::kDouble) {
-    if (resolved_.hub_order) {
-      ParallelFor(pool_, num_rows_, kRowGrain, [&](size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-          contrib_hub_[source_relabel_[u]] = contrib[u];
-        }
-      });
-      contrib_d = contrib_hub_.data();
-    }
-  } else {
-    if (resolved_.hub_order) {
-      ParallelFor(pool_, num_rows_, kRowGrain, [&](size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-          contrib_f32_[source_relabel_[u]] = static_cast<float>(contrib[u]);
-        }
-      });
-    } else {
-      ParallelFor(pool_, num_rows_, kRowGrain, [&](size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-          contrib_f32_[u] = static_cast<float>(contrib[u]);
-        }
-      });
-    }
+  // Float sweeps read a float mirror of the contribution array.
+  if (resolved_.precision == ScorePrecision::kFloat) {
+    ParallelFor(pool_, num_rows_, kRowGrain, [&](size_t begin, size_t end) {
+      for (size_t u = begin; u < end; ++u) {
+        contrib_f32_[u] = static_cast<float>(contrib[u]);
+      }
+    });
     if (edge_weights != nullptr && !use_codes &&
         weights_seen_ != edge_weights) {  // NOLINT(float-compare): pointer identity, not a value comparison
       // Weights are per-solve constants (see the Gather contract), so the
@@ -379,17 +301,17 @@ const double* GatherEngine::Gather(const double* contrib,
     case SimdMode::kScalar:
       RunVariant<RowSumScalar, RowDotScalar, RowSumScalarF32, RowDotScalarF32,
                  RowDotCodeScalar, RowDotCodeScalarF32>(
-          contrib_d, edge_weights, use_codes);
+          contrib, edge_weights, use_codes);
       break;
     case SimdMode::kAvx2:
       RunVariant<RowSumAvx2, RowDotAvx2, RowSumAvx2F32, RowDotAvx2F32,
-                 RowDotCodeAvx2, RowDotCodeAvx2F32>(contrib_d, edge_weights,
+                 RowDotCodeAvx2, RowDotCodeAvx2F32>(contrib, edge_weights,
                                                     use_codes);
       break;
     case SimdMode::kLegacy:
       RunVariant<RowSumLegacy, RowDotLegacy, RowSumLegacyF32, RowDotLegacyF32,
                  RowDotCodeLegacy, RowDotCodeLegacyF32>(
-          contrib_d, edge_weights, use_codes);
+          contrib, edge_weights, use_codes);
       break;
     case SimdMode::kAuto:
       break;  // unreachable: Init resolves kAuto away

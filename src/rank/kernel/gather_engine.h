@@ -14,8 +14,6 @@
 ///
 ///   simd             scalar striped / AVX2 (runtime-dispatched) / legacy
 ///   score_precision  double, or float mirrors with double accumulation
-///   csr_compression  raw uint32 rows, or zigzag-delta varint decode
-///   hub_order        hub-first relabeling of the *source* axis
 ///   weight_codebook  1-byte-per-edge codes into an L1 table of the (at
 ///                    most 256) distinct weight values, built lazily per
 ///                    weight array; falls back to raw weights past 256
@@ -23,10 +21,9 @@
 ///                    rows whose inputs moved since their last gather
 ///
 /// Determinism contract: for a fixed variant, results are bit-identical at
-/// every thread count (row-local writes, fixed chunk geometry), and the
-/// scalar/AVX2 × plain/compressed × hub on/off cross-product is
-/// bit-identical within double precision (same per-row addition tree, same
-/// decoded ids, pure relabeling). See tests/kernel_test.cc.
+/// every thread count (row-local writes, fixed chunk geometry), and scalar
+/// and AVX2 are bit-identical within double precision (same per-row
+/// addition tree). See tests/kernel_test.cc.
 ///
 /// The engine borrows the GraphAccess arrays and the pool; both must
 /// outlive it. Not thread-safe: one engine per concurrent solver call.
@@ -35,7 +32,6 @@
 #include <vector>
 
 #include "graph/graph_access.h"
-#include "rank/kernel/compressed_csr.h"
 #include "rank/kernel/kernel_options.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -52,8 +48,6 @@ enum class GatherDirection { kInEdges, kOutEdges };
 struct ResolvedKernel {
   SimdMode simd = SimdMode::kScalar;
   ScorePrecision precision = ScorePrecision::kDouble;
-  CsrCompression compression = CsrCompression::kNone;
-  bool hub_order = false;
   bool weight_codebook = false;
   bool adaptive = false;
   double adaptive_tolerance = 0.0;
@@ -99,8 +93,6 @@ class GatherEngine {
   size_t sweeps() const { return sweeps_; }
 
   const ResolvedKernel& resolved() const { return resolved_; }
-  /// Compressed adjacency bytes (0 when csr_compression=none).
-  size_t encoded_bytes() const { return compressed_.encoded_bytes(); }
   /// Whether the last weight array seen fit the 256-entry codebook (false
   /// until a weighted sweep runs with weight_codebook=true).
   bool codebook_active() const { return codebook_active_; }
@@ -151,11 +143,6 @@ class GatherEngine {
 
   std::vector<double> gather_;  // per-row results, persistent across sweeps
 
-  // hub_order: new label of each source + privately relabeled neighbors.
-  std::vector<NodeId> source_relabel_;
-  std::vector<NodeId> relabeled_nbrs_;
-  std::vector<double> contrib_hub_;  // contrib permuted into hub order
-
   // float precision mirrors (contrib refreshed per sweep, weights once).
   std::vector<float> contrib_f32_;
   std::vector<float> weights_f32_;
@@ -169,8 +156,6 @@ class GatherEngine {
   const double* codes_built_for_ = nullptr;
   bool codebook_active_ = false;
   size_t edge_extent_ = 0;  // highest edge id any row reaches
-
-  CompressedInCsr compressed_;
 
   // adaptive state.
   std::vector<double> base_;      // per-source last-observed contribution

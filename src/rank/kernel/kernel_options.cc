@@ -19,13 +19,6 @@ Result<ScorePrecision> ScorePrecisionFromString(const std::string& s) {
                                  "' (expected double|float)");
 }
 
-Result<CsrCompression> CsrCompressionFromString(const std::string& s) {
-  if (s == "none") return CsrCompression::kNone;
-  if (s == "delta_varint" || s == "varint") return CsrCompression::kDeltaVarint;
-  return Status::InvalidArgument("unknown csr_compression '" + s +
-                                 "' (expected none|delta_varint)");
-}
-
 const char* SimdModeName(SimdMode mode) {
   switch (mode) {
     case SimdMode::kAuto:
@@ -44,10 +37,6 @@ const char* ScorePrecisionName(ScorePrecision precision) {
   return precision == ScorePrecision::kFloat ? "float" : "double";
 }
 
-const char* CsrCompressionName(CsrCompression compression) {
-  return compression == CsrCompression::kDeltaVarint ? "delta_varint" : "none";
-}
-
 Result<KernelOptions> KernelOptionsFromConfig(const Config& config) {
   KernelOptions opts;
   if (config.Has("simd")) {
@@ -57,13 +46,6 @@ Result<KernelOptions> KernelOptionsFromConfig(const Config& config) {
   if (config.Has("score_precision")) {
     SCHOLAR_ASSIGN_OR_RETURN(auto s, config.GetString("score_precision"));
     SCHOLAR_ASSIGN_OR_RETURN(opts.precision, ScorePrecisionFromString(s));
-  }
-  if (config.Has("csr_compression")) {
-    SCHOLAR_ASSIGN_OR_RETURN(auto s, config.GetString("csr_compression"));
-    SCHOLAR_ASSIGN_OR_RETURN(opts.compression, CsrCompressionFromString(s));
-  }
-  if (config.Has("hub_order")) {
-    SCHOLAR_ASSIGN_OR_RETURN(opts.hub_order, config.GetBool("hub_order"));
   }
   if (config.Has("weight_codebook")) {
     SCHOLAR_ASSIGN_OR_RETURN(opts.weight_codebook,

@@ -36,30 +36,13 @@ enum class SimdMode { kAuto, kScalar, kAvx2, kLegacy };
 ///            <= 1e-6 absolute on every kernel; see tests/kernel_test.cc).
 enum class ScorePrecision { kDouble, kFloat };
 
-/// In-CSR storage the gather reads neighbor ids from.
-///
-///   kNone         the parent graph's raw uint32 adjacency (zero setup).
-///   kDeltaVarint  a one-time per-engine re-encode of each row as
-///                 zigzag-delta varints, decoded per row into a scratch
-///                 buffer during the sweep. Trades decode ALU for memory
-///                 bandwidth; decoded ids are identical, so scores are
-///                 bit-identical to kNone.
-enum class CsrCompression { kNone, kDeltaVarint };
-
 /// Knobs of the iteration engine (src/rank/kernel/). Embedded in every
 /// power-iteration option struct; plumbed from the registry config keys
-/// `simd=`, `score_precision=`, `csr_compression=`, `hub_order=`,
-/// `weight_codebook=`, `adaptive=`, `adaptive_tolerance=`.
+/// `simd=`, `score_precision=`, `weight_codebook=`, `adaptive=`,
+/// `adaptive_tolerance=`.
 struct KernelOptions {
   SimdMode simd = SimdMode::kAuto;
   ScorePrecision precision = ScorePrecision::kDouble;
-  CsrCompression compression = CsrCompression::kNone;
-  /// Relabel gather *sources* hub-first (descending appearance count) so
-  /// the hottest entries of the contribution array share cache lines. A
-  /// pure layout permutation: row order and edge ids are untouched, so
-  /// per-edge weight arrays (TwprWeightCache included) index unchanged,
-  /// and scores are bit-identical to the unpermuted layout.
-  bool hub_order = false;
   /// Compress the per-edge weight stream to one byte per edge. At the
   /// first sweep over a given weight array the engine collects its
   /// distinct double bit patterns; when there are at most 256 (TWPR's
@@ -91,11 +74,9 @@ Result<KernelOptions> KernelOptionsFromConfig(const Config& config);
 
 Result<SimdMode> SimdModeFromString(const std::string& s);
 Result<ScorePrecision> ScorePrecisionFromString(const std::string& s);
-Result<CsrCompression> CsrCompressionFromString(const std::string& s);
 
 const char* SimdModeName(SimdMode mode);
 const char* ScorePrecisionName(ScorePrecision precision);
-const char* CsrCompressionName(CsrCompression compression);
 
 }  // namespace kernel
 }  // namespace scholar

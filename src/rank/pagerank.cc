@@ -349,18 +349,16 @@ Result<RankResult> WeightedPowerIterationOnView(
 
 Result<RankResult> PageRankRanker::RankImpl(const RankContext& ctx) const {
   SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
-  PowerIterationOptions options = options_;
-  options.threads = static_cast<int>(EffectiveThreads(options.threads, ctx));
   const std::vector<double> no_initial;
   const std::vector<double>& initial =
       ctx.initial_scores != nullptr ? *ctx.initial_scores : no_initial;
   if (ctx.view != nullptr) {
     return WeightedPowerIterationOnView(*ctx.view, /*out_edge_weights=*/{},
                                         /*in_edge_weights=*/{}, /*jump=*/{},
-                                        options, initial, ctx.scratch);
+                                        options_, initial, ctx.scratch);
   }
   return WeightedPowerIteration(*ctx.graph, /*edge_weights=*/{}, /*jump=*/{},
-                                options, initial, ctx.scratch);
+                                options_, initial, ctx.scratch);
 }
 
 }  // namespace scholar

@@ -25,7 +25,7 @@ struct PowerIterationOptions {
   /// concurrency, 1 = serial, N = exactly N. Scores are bit-identical at
   /// every setting (see the determinism note on WeightedPowerIteration).
   int threads = 0;
-  /// Iteration-engine variant knobs (SIMD / precision / CSR layout /
+  /// Iteration-engine variant knobs (SIMD / precision / weight codebook /
   /// adaptive convergence); see rank/kernel/kernel_options.h.
   kernel::KernelOptions kernel;
 };
@@ -75,8 +75,8 @@ class PowerIterationScratch {
 ///
 /// Parallel execution: the iteration is a pull-based gather over the
 /// in-CSR, executed by the kernel::GatherEngine selected through
-/// `options.kernel` (SIMD level, score precision, CSR compression, hub
-/// layout, adaptive convergence). Each round stages the per-source term
+/// `options.kernel` (SIMD level, score precision, weight codebook,
+/// adaptive convergence). Each round stages the per-source term
 /// `contrib[u] = inv_row_weight[u] * scores[u]`, and node v sums
 /// `w_in[p] * contrib[in_neighbor(p)]` over its own in-edges (raw weights
 /// scattered once into in-edge order; no per-edge array at all for uniform

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "graph/temporal_csr.h"
-#include "util/parallel_for.h"
 
 namespace scholar {
 
@@ -143,15 +142,6 @@ GraphAccess AccessOf(const RankContext& ctx, ViewRowEnds* rows,
                      ThreadPool* pool) {
   return ctx.view != nullptr ? AccessOf(*ctx.view, rows, pool)
                              : AccessOf(*ctx.graph);
-}
-
-size_t EffectiveThreads(int option_threads, const RankContext& ctx) {
-  size_t threads = ResolveThreads(option_threads);
-  if (ctx.max_threads > 0 &&
-      static_cast<size_t>(ctx.max_threads) < threads) {
-    threads = static_cast<size_t>(ctx.max_threads);
-  }
-  return threads;
 }
 
 }  // namespace scholar

@@ -50,11 +50,6 @@ struct RankContext {
   /// invariant across snapshots). Thread-safe; the ensemble shares one
   /// across all snapshot ranks. Only consulted when ranking a view.
   TwprWeightCache* twpr_cache = nullptr;
-  /// Caps the worker threads a ranker may use for this call; 0 = no cap
-  /// (the ranker's own `threads` option decides). The ensemble sets 1 on
-  /// its per-snapshot sub-contexts when it already parallelizes across
-  /// snapshots, so the two levels never oversubscribe the machine.
-  int max_threads = 0;
 
   /// Node count of whichever of graph/view is set (0 when neither is).
   size_t NumNodes() const;
@@ -146,11 +141,6 @@ Status ValidateContext(const RankContext& ctx, bool requires_authors,
 /// `pool` when given). Borrows the context's graph or view.
 GraphAccess AccessOf(const RankContext& ctx, ViewRowEnds* rows,
                      ThreadPool* pool = nullptr);
-
-/// Worker count a ranker should use: `option_threads` resolved (0 = auto =
-/// hardware concurrency) and clamped by `ctx.max_threads`. Shared by every
-/// iterative ranker implementation.
-size_t EffectiveThreads(int option_threads, const RankContext& ctx);
 
 }  // namespace scholar
 

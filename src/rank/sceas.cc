@@ -37,7 +37,7 @@ Result<RankResult> SceasRanker::RankImpl(const RankContext& ctx) const {
   const size_t n = ctx.NumNodes();
   if (n == 0) return RankResult{};
 
-  const size_t workers = EffectiveThreads(options_.threads, ctx);
+  const size_t workers = ResolveThreads(options_.threads);
   std::unique_ptr<ThreadPool> owned_pool =
       workers > 1 ? std::make_unique<ThreadPool>(workers - 1) : nullptr;
   ThreadPool* pool = owned_pool.get();

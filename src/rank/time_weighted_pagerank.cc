@@ -32,7 +32,7 @@ std::vector<double> TimeWeightedPageRank::ComputeEdgeWeights(
       const EdgeId last = graph.out_offsets()[u + 1];
       for (EdgeId e = first; e < last; ++e) {
         const Year tv = graph.year(graph.out_neighbors()[e]);
-        const double gap = std::max(0, tu - tv);
+        const double gap = std::max<int64_t>(0, YearGap(tu, tv));
         weights[e] = std::exp(-sigma * gap);
       }
     }
@@ -51,7 +51,7 @@ std::vector<double> TimeWeightedPageRank::ComputeInEdgeWeights(
       const EdgeId last = graph.in_offsets()[v + 1];
       for (EdgeId p = first; p < last; ++p) {
         const Year tu = graph.year(graph.in_neighbors()[p]);
-        const double gap = std::max(0, tu - tv);
+        const double gap = std::max<int64_t>(0, YearGap(tu, tv));
         weights[p] = std::exp(-sigma * gap);
       }
     }
@@ -74,7 +74,7 @@ std::vector<double> TimeWeightedPageRank::ComputeRecencyJump(
                     [&](size_t chunk, size_t begin, size_t end) {
     double part = 0.0;
     for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
-      const double age = std::max(0, now - years[v]);
+      const double age = std::max<int64_t>(0, YearGap(now, years[v]));
       jump[v] = std::exp(-rho * age);
       part += jump[v];
     }
@@ -121,15 +121,14 @@ Result<RankResult> TimeWeightedPageRank::RankImpl(const RankContext& ctx) const 
     return Status::InvalidArgument("rho must be >= 0, got " +
                                    std::to_string(options_.rho));
   }
-  PowerIterationOptions power = options_.power;
-  power.threads = static_cast<int>(EffectiveThreads(power.threads, ctx));
+  const PowerIterationOptions& power = options_.power;
 
   // The weight pipeline and the solver share one scratch (and therefore
   // one worker pool): either the caller's or a call-local one.
   PowerIterationScratch local_scratch;
   PowerIterationScratch* scratch =
       ctx.scratch != nullptr ? ctx.scratch : &local_scratch;
-  ThreadPool* pool = scratch->PoolFor(static_cast<size_t>(power.threads));
+  ThreadPool* pool = scratch->PoolFor(ResolveThreads(power.threads));
   const std::vector<double> no_initial;
   const std::vector<double>& initial =
       ctx.initial_scores != nullptr ? *ctx.initial_scores : no_initial;

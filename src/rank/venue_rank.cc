@@ -42,7 +42,7 @@ Result<RankResult> VenueRankRanker::RankImpl(const RankContext& ctx) const {
   const Year now = ctx.EffectiveNow();
   std::vector<double> cite_evidence(n);
   for (NodeId i = 0; i < n; ++i) {
-    const double age = std::max(1, now - g.years[i] + 1);
+    const double age = std::max<int64_t>(1, YearGap(now, g.years[i]) + 1);
     cite_evidence[i] = static_cast<double>(g.InDegree(i)) / age;
   }
   cite_evidence = MidrankPercentiles(cite_evidence);

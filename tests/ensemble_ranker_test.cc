@@ -1,9 +1,14 @@
 #include "ensemble/ensemble_ranker.h"
 
+#include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/registry.h"
 #include "data/synthetic.h"
 #include "eval/cohort.h"
 #include "graph/temporal_csr.h"
@@ -247,7 +252,7 @@ TEST(EnsembleParallelTest, IndependentSnapshotsBitIdenticalAcrossThreads) {
   CitationGraph g = MakeRandomGraph(1500, 5, 1980, 30, 41);
   EnsembleOptions o;
   o.num_slices = 6;
-  o.warm_start = false;  // snapshots rank concurrently in this mode
+  o.warm_start = false;  // every snapshot cold-starts; still ranked in order
   o.threads = 1;
   RankContext ctx;
   ctx.graph = &g;
@@ -290,9 +295,9 @@ TEST(EnsembleParallelTest, WarmStartChainBitIdenticalAcrossThreads) {
 }
 
 TEST(EnsembleParallelTest, ParallelModeMatchesSequentialColdStart) {
-  // warm_start only changes the iteration path, but with threads=1 the
-  // cold-start ensemble uses the sequential code and with threads>1 the
-  // concurrent one — the two code paths must agree exactly.
+  // Cold starts rank the snapshots in index order like warm ones, with
+  // multi-threaded solves when threads>1; the recency-weighted fold must
+  // not see the pool width.
   CitationGraph g = MakeRandomGraph(800, 4, 1985, 20, 47);
   EnsembleOptions o;
   o.num_slices = 5;
@@ -302,8 +307,8 @@ TEST(EnsembleParallelTest, ParallelModeMatchesSequentialColdStart) {
   o.threads = 1;
   RankResult sequential = EnsembleRanker(PageRank(), o).Rank(g).value();
   o.threads = 4;
-  RankResult concurrent = EnsembleRanker(PageRank(), o).Rank(g).value();
-  EXPECT_EQ(sequential.scores, concurrent.scores);
+  RankResult parallel = EnsembleRanker(PageRank(), o).Rank(g).value();
+  EXPECT_EQ(sequential.scores, parallel.scores);
 }
 
 TEST(EnsembleCombinerTest, StringRoundTrip) {
@@ -313,6 +318,72 @@ TEST(EnsembleCombinerTest, StringRoundTrip) {
             EnsembleCombiner::kRecencyWeighted);
   EXPECT_TRUE(EnsembleCombinerFromString("?").status().IsInvalidArgument());
   EXPECT_EQ(EnsembleCombinerToString(EnsembleCombiner::kMean), "mean");
+}
+
+// Unknown publication years (kUnknownYear = INT32_MIN) reach the rankers
+// from the graph readers and the TSV reader. They read as older than every
+// known year; no year difference may overflow and no ensemble table may be
+// sized by the year span.
+TEST(UnknownYearTest, EveryRankerAndEnsembleRanksAnUnknownYear) {
+  // Ids are not year-sorted, so the ensemble's TemporalCsr permutes; the
+  // known years span 2000..2004 only.
+  GraphBuilder builder;
+  for (Year y : {2000, 2001, kUnknownYear, 2002, 2003, 2004, 2004, 2002}) {
+    builder.AddNode(y);
+  }
+  const std::pair<NodeId, NodeId> edges[] = {
+      {1, 0}, {2, 0}, {2, 1}, {3, 0}, {3, 1}, {3, 2}, {4, 2}, {4, 3},
+      {5, 1}, {5, 4}, {6, 2}, {6, 3}, {6, 5}, {7, 0}, {7, 2}};
+  for (const auto& [u, v] : edges) SCHOLAR_CHECK_OK(builder.AddEdge(u, v));
+  const CitationGraph g = std::move(builder).Build().value();
+  const PaperAuthors authors = PaperAuthors::FromLists(
+      {{0}, {1}, {0, 2}, {1}, {2, 3}, {0}, {3}, {1, 2}});
+  const std::vector<int32_t> venues = {0, 1, 0, -1, 1, 0, 1, 0};
+  RankContext ctx;
+  ctx.graph = &g;
+  ctx.authors = &authors;
+  ctx.venues = &venues;
+
+  const std::vector<std::string> bases = {
+      "cc",   "age_cc", "pagerank",  "pagerank_gs", "pagerank_mc", "hits",
+      "katz", "sceas",  "venuerank", "citerank",    "futurerank",  "twpr"};
+  std::vector<std::pair<std::string, Config>> runs;
+  for (const std::string& base : bases) {
+    runs.push_back({base, Config()});
+    for (const char* scope : {"snapshot", "cohort", "year"}) {
+      for (const char* partition : {"count", "span"}) {
+        Config config;
+        config.Set("scope", scope);
+        config.Set("partition", partition);
+        config.SetInt("num_slices", 3);
+        runs.push_back({"ens_" + base, config});
+      }
+    }
+  }
+  for (auto& [name, config] : runs) {
+    const std::string label = name + " scope=" +
+                              config.GetStringOr("scope", "-") +
+                              " partition=" +
+                              config.GetStringOr("partition", "-");
+    std::vector<double> serial;
+    for (int threads : {1, 4}) {
+      config.SetInt("threads", threads);
+      const auto ranker = MakeRanker(name, config);
+      ASSERT_TRUE(ranker.ok()) << label << ": " << ranker.status().ToString();
+      const Result<RankResult> result = (*ranker)->Rank(ctx);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      ASSERT_EQ(result->scores.size(), g.num_nodes()) << label;
+      for (double score : result->scores) {
+        EXPECT_TRUE(std::isfinite(score) && score >= 0.0)
+            << label << " threads=" << threads << ": score " << score;
+      }
+      if (threads == 1) {
+        serial = result->scores;
+      } else {
+        EXPECT_EQ(result->scores, serial) << label << " threads=" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,16 +7,11 @@
 //   * scalar vs SIMD (double): bit-identical — both reduce each row
 //     through the same lane-striped addition tree;
 //   * float score mirror: <= 1e-6 absolute drift vs the double path;
-//   * delta-varint in-CSR: decoded ids identical, so scores
-//     bit-identical to the raw adjacency;
-//   * hub-first source relabel: pure layout permutation, bit-identical;
 //   * weight codebook: byte codes into a table of the original weight
 //     values, bit-identical to the raw weight stream, with a silent
 //     fallback past 256 distinct values;
 //   * adaptive convergence: final scores within tolerance of the
-//     fixed-sweep reference;
-//   * the checked varint decoder round-trips real adjacency rows and
-//     rejects each corruption class with a typed status.
+//     fixed-sweep reference.
 
 #include "rank/kernel/kernel_options.h"
 
@@ -29,7 +24,6 @@
 #include <gtest/gtest.h>
 #include "core/registry.h"
 #include "graph/graph_access.h"
-#include "rank/kernel/compressed_csr.h"
 #include "rank/kernel/gather_engine.h"
 #include "rank/kernel/simd.h"
 #include "test_util.h"
@@ -46,12 +40,10 @@ constexpr const char* kEngineKernels[] = {"pagerank", "twpr", "katz",
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 Config KernelConfig(const std::string& simd, const std::string& precision,
-                    const std::string& compression, bool adaptive,
-                    int threads) {
+                    bool adaptive, int threads) {
   Config config;
   config.Set("simd", simd);
   config.Set("score_precision", precision);
-  config.Set("csr_compression", compression);
   config.SetBool("adaptive", adaptive);
   config.SetInt("threads", threads);
   return config;
@@ -97,12 +89,12 @@ TEST(KernelBitIdentityTest, SimdMatchesScalarAcrossKernelsAndThreads) {
   }
   for (const char* kernel : kEngineKernels) {
     const std::vector<double> oracle =
-        RunKernel(kernel, g, KernelConfig("scalar", "double", "none", false, 1));
+        RunKernel(kernel, g, KernelConfig("scalar", "double", false, 1));
     ASSERT_EQ(oracle.size(), g.num_nodes()) << kernel;
     for (const std::string& simd : simd_modes) {
       for (int threads : kThreadCounts) {
         const std::vector<double> scores = RunKernel(
-            kernel, g, KernelConfig(simd, "double", "none", false, threads));
+            kernel, g, KernelConfig(simd, "double", false, threads));
         ExpectBitIdentical(scores, oracle,
                            std::string(kernel) + " simd=" + simd +
                                " threads=" + std::to_string(threads));
@@ -116,9 +108,9 @@ TEST(KernelBitIdentityTest, TinyAndEdgeCaseGraphs) {
   const CitationGraph g = MakeTinyGraph();
   for (const char* kernel : kEngineKernels) {
     const std::vector<double> oracle =
-        RunKernel(kernel, g, KernelConfig("scalar", "double", "none", false, 1));
+        RunKernel(kernel, g, KernelConfig("scalar", "double", false, 1));
     const std::vector<double> simd =
-        RunKernel(kernel, g, KernelConfig("auto", "double", "none", false, 2));
+        RunKernel(kernel, g, KernelConfig("auto", "double", false, 2));
     ExpectBitIdentical(simd, oracle, std::string(kernel) + " tiny");
   }
 }
@@ -130,143 +122,14 @@ TEST(KernelFloatDriftTest, FloatScoresWithinBound) {
   constexpr double kDriftBound = 1e-6;
   for (const char* kernel : kEngineKernels) {
     const std::vector<double> oracle =
-        RunKernel(kernel, g, KernelConfig("scalar", "double", "none", false, 1));
+        RunKernel(kernel, g, KernelConfig("scalar", "double", false, 1));
     for (const std::string& simd : {std::string("scalar"), std::string("auto")}) {
       const std::vector<double> scores =
-          RunKernel(kernel, g, KernelConfig(simd, "float", "none", false, 1));
+          RunKernel(kernel, g, KernelConfig(simd, "float", false, 1));
       const double drift = MaxAbsDiff(scores, oracle);
       EXPECT_LE(drift, kDriftBound)
           << kernel << " simd=" << simd << " float drift " << drift;
     }
-  }
-}
-
-// --- compressed in-CSR --------------------------------------------------
-
-TEST(KernelCompressionTest, CompressedScoresBitIdentical) {
-  const CitationGraph g = TestGraph();
-  for (const char* kernel : kEngineKernels) {
-    const std::vector<double> oracle =
-        RunKernel(kernel, g, KernelConfig("scalar", "double", "none", false, 1));
-    for (int threads : {1, 4}) {
-      const std::vector<double> scores = RunKernel(
-          kernel, g,
-          KernelConfig("auto", "double", "delta_varint", false, threads));
-      ExpectBitIdentical(scores, oracle,
-                         std::string(kernel) + " delta_varint threads=" +
-                             std::to_string(threads));
-    }
-  }
-}
-
-TEST(KernelCompressionTest, TrustedDecodeReproducesRawAdjacency) {
-  const CitationGraph g = TestGraph();
-  const GraphAccess a = AccessOf(g);
-  kernel::CompressedInCsr csr;
-  csr.Build(a.in_begin, a.in_end, a.in_neighbors, a.num_nodes,
-            /*pool=*/nullptr);
-  ASSERT_EQ(csr.num_rows(), a.num_nodes);
-  std::vector<NodeId> decoded(csr.max_row_degree());
-  for (size_t v = 0; v < a.num_nodes; ++v) {
-    const size_t k = a.InDegree(static_cast<NodeId>(v));
-    csr.DecodeRow(v, k, decoded.data());
-    for (size_t i = 0; i < k; ++i) {
-      ASSERT_EQ(decoded[i], a.in_neighbors[a.in_begin[v] + i])
-          << "row " << v << " pos " << i;
-    }
-  }
-}
-
-TEST(KernelCompressionTest, CheckedDecodeRoundTripsRealRows) {
-  const CitationGraph g = TestGraph();
-  const GraphAccess a = AccessOf(g);
-  const uint32_t max_id = static_cast<uint32_t>(a.num_nodes);
-  std::vector<uint8_t> bytes;
-  std::vector<NodeId> decoded;
-  for (size_t v = 0; v < a.num_nodes; ++v) {
-    const size_t k = a.InDegree(static_cast<NodeId>(v));
-    bytes.clear();
-    kernel::EncodeVarintRow(a.in_neighbors + a.in_begin[v], k, &bytes);
-    decoded.assign(k, 0);
-    size_t consumed = 0;
-    ASSERT_TRUE(kernel::DecodeVarintRowChecked(bytes.data(), bytes.size(), k,
-                                               max_id, decoded.data(),
-                                               &consumed)
-                    .ok())
-        << "row " << v;
-    EXPECT_EQ(consumed, bytes.size());
-    for (size_t i = 0; i < k; ++i) {
-      ASSERT_EQ(decoded[i], a.in_neighbors[a.in_begin[v] + i]);
-    }
-  }
-}
-
-TEST(KernelCompressionTest, CheckedDecodeRejectsCorruptRows) {
-  const NodeId row[] = {0, 3, 7, 250, 511};
-  constexpr size_t kCount = 5;
-  std::vector<uint8_t> bytes;
-  kernel::EncodeVarintRow(row, kCount, &bytes);
-  std::vector<NodeId> out(kCount);
-  size_t consumed = 0;
-
-  // Baseline: the intact row decodes.
-  ASSERT_TRUE(kernel::DecodeVarintRowChecked(bytes.data(), bytes.size(),
-                                             kCount, 512, out.data(),
-                                             &consumed)
-                  .ok());
-
-  // Truncation: drop the final byte.
-  Status s = kernel::DecodeVarintRowChecked(bytes.data(), bytes.size() - 1,
-                                            kCount, 512, out.data(),
-                                            &consumed);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-
-  // Varint longer than 10 bytes.
-  std::vector<uint8_t> too_long(11, 0x80);
-  too_long.push_back(0x01);
-  s = kernel::DecodeVarintRowChecked(too_long.data(), too_long.size(), 1, 512,
-                                     out.data(), &consumed);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-
-  // A 10-byte varint whose delta lands far outside [0, max_id).
-  std::vector<uint8_t> overflow(9, 0x80);
-  overflow.push_back(0x01);  // zigzag-decodes to 2^62
-  s = kernel::DecodeVarintRowChecked(overflow.data(), overflow.size(), 1, 512,
-                                     out.data(), &consumed);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-
-  // A negative running sum: first delta is zigzag(-1).
-  const uint8_t negative[] = {0x01};
-  s = kernel::DecodeVarintRowChecked(negative, 1, 1, 512, out.data(),
-                                     &consumed);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-
-  // In-range bytes, but max_id_exclusive cuts the row's ids off.
-  s = kernel::DecodeVarintRowChecked(bytes.data(), bytes.size(), kCount, 100,
-                                     out.data(), &consumed);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-
-  // Validate-only (null out) agrees with the storing decode.
-  s = kernel::DecodeVarintRowChecked(bytes.data(), bytes.size() - 1, kCount,
-                                     512, nullptr, &consumed);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  s = kernel::DecodeVarintRowChecked(bytes.data(), bytes.size(), kCount, 512,
-                                     nullptr, &consumed);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(consumed, bytes.size());
-}
-
-// --- hub-first source relabel -------------------------------------------
-
-TEST(KernelHubOrderTest, HubOrderBitIdentical) {
-  const CitationGraph g = TestGraph();
-  for (const char* kernel : kEngineKernels) {
-    const std::vector<double> oracle =
-        RunKernel(kernel, g, KernelConfig("scalar", "double", "none", false, 1));
-    Config config = KernelConfig("auto", "double", "delta_varint", false, 2);
-    config.SetBool("hub_order", true);
-    const std::vector<double> scores = RunKernel(kernel, g, config);
-    ExpectBitIdentical(scores, oracle, std::string(kernel) + " hub_order");
   }
 }
 
@@ -279,10 +142,10 @@ TEST(KernelCodebookTest, CodebookBitIdenticalAcrossKernelsAndThreads) {
   const CitationGraph g = TestGraph();
   for (const char* kernel : kEngineKernels) {
     const std::vector<double> oracle =
-        RunKernel(kernel, g, KernelConfig("scalar", "double", "none", false, 1));
+        RunKernel(kernel, g, KernelConfig("scalar", "double", false, 1));
     for (const std::string& simd : {std::string("scalar"), std::string("auto")}) {
       for (int threads : {1, 4}) {
-        Config config = KernelConfig(simd, "double", "none", false, threads);
+        Config config = KernelConfig(simd, "double", false, threads);
         config.SetBool("weight_codebook", true);
         const std::vector<double> scores = RunKernel(kernel, g, config);
         ExpectBitIdentical(scores, oracle,
@@ -300,8 +163,8 @@ TEST(KernelCodebookTest, CodebookFloatMatchesFloatMirror) {
   const CitationGraph g = TestGraph();
   for (const char* kernel : kEngineKernels) {
     const std::vector<double> plain_f32 =
-        RunKernel(kernel, g, KernelConfig("auto", "float", "none", false, 2));
-    Config config = KernelConfig("auto", "float", "none", false, 2);
+        RunKernel(kernel, g, KernelConfig("auto", "float", false, 2));
+    Config config = KernelConfig("auto", "float", false, 2);
     config.SetBool("weight_codebook", true);
     const std::vector<double> coded_f32 = RunKernel(kernel, g, config);
     ExpectBitIdentical(coded_f32, plain_f32,
@@ -376,10 +239,10 @@ TEST(KernelAdaptiveTest, AdaptiveMatchesFixedAcrossKernelsAndThreads) {
   constexpr double kTolerance = 1e-9;
   for (const char* kernel : kEngineKernels) {
     const std::vector<double> fixed =
-        RunKernel(kernel, g, KernelConfig("auto", "double", "none", false, 1));
+        RunKernel(kernel, g, KernelConfig("auto", "double", false, 1));
     for (int threads : kThreadCounts) {
       const std::vector<double> adaptive = RunKernel(
-          kernel, g, KernelConfig("auto", "double", "none", true, threads));
+          kernel, g, KernelConfig("auto", "double", true, threads));
       const double diff = MaxAbsDiff(adaptive, fixed);
       EXPECT_LE(diff, kTolerance)
           << kernel << " adaptive threads=" << threads << " diff " << diff;
@@ -393,8 +256,8 @@ TEST(KernelAdaptiveTest, ZeroToleranceIsExactSkipping) {
   const CitationGraph g = TestGraph();
   for (const char* kernel : kEngineKernels) {
     const std::vector<double> fixed =
-        RunKernel(kernel, g, KernelConfig("scalar", "double", "none", false, 1));
-    Config config = KernelConfig("auto", "double", "none", true, 2);
+        RunKernel(kernel, g, KernelConfig("scalar", "double", false, 1));
+    Config config = KernelConfig("auto", "double", true, 2);
     config.SetDouble("adaptive_tolerance", 0.0);
     const std::vector<double> adaptive = RunKernel(kernel, g, config);
     ExpectBitIdentical(adaptive, fixed,
@@ -410,9 +273,9 @@ TEST(KernelLegacyTest, LegacyWithinRegroupingNoiseOfScalar) {
   const CitationGraph g = TestGraph();
   for (const char* kernel : kEngineKernels) {
     const std::vector<double> striped =
-        RunKernel(kernel, g, KernelConfig("scalar", "double", "none", false, 1));
+        RunKernel(kernel, g, KernelConfig("scalar", "double", false, 1));
     const std::vector<double> legacy =
-        RunKernel(kernel, g, KernelConfig("legacy", "double", "none", false, 1));
+        RunKernel(kernel, g, KernelConfig("legacy", "double", false, 1));
     const double diff = MaxAbsDiff(legacy, striped);
     EXPECT_LE(diff, 1e-9) << kernel << " legacy-vs-scalar diff " << diff;
   }
@@ -424,8 +287,6 @@ TEST(KernelOptionsTest, ParsesEverySpelling) {
   Config config;
   config.Set("simd", "avx2");
   config.Set("score_precision", "f32");
-  config.Set("csr_compression", "varint");
-  config.SetBool("hub_order", true);
   config.SetBool("weight_codebook", true);
   config.SetBool("adaptive", true);
   config.SetDouble("adaptive_tolerance", 1e-10);
@@ -433,8 +294,6 @@ TEST(KernelOptionsTest, ParsesEverySpelling) {
       kernel::KernelOptionsFromConfig(config).value();
   EXPECT_EQ(opts.simd, kernel::SimdMode::kAvx2);
   EXPECT_EQ(opts.precision, kernel::ScorePrecision::kFloat);
-  EXPECT_EQ(opts.compression, kernel::CsrCompression::kDeltaVarint);
-  EXPECT_TRUE(opts.hub_order);
   EXPECT_TRUE(opts.weight_codebook);
   EXPECT_TRUE(opts.adaptive);
   EXPECT_DOUBLE_EQ(opts.adaptive_tolerance, 1e-10);
@@ -444,14 +303,10 @@ TEST(KernelOptionsTest, ParsesEverySpelling) {
             kernel::SimdMode::kLegacy);
   EXPECT_EQ(kernel::ScorePrecisionFromString("f64").value(),
             kernel::ScorePrecision::kDouble);
-  EXPECT_EQ(kernel::CsrCompressionFromString("delta_varint").value(),
-            kernel::CsrCompression::kDeltaVarint);
   const kernel::KernelOptions defaults =
       kernel::KernelOptionsFromConfig(Config()).value();
   EXPECT_EQ(defaults.simd, kernel::SimdMode::kAuto);
   EXPECT_EQ(defaults.precision, kernel::ScorePrecision::kDouble);
-  EXPECT_EQ(defaults.compression, kernel::CsrCompression::kNone);
-  EXPECT_FALSE(defaults.hub_order);
   EXPECT_FALSE(defaults.weight_codebook);
   EXPECT_FALSE(defaults.adaptive);
 }
@@ -467,13 +322,6 @@ TEST(KernelOptionsTest, RejectsUnknownSpellings) {
   {
     Config config;
     config.Set("score_precision", "half");
-    EXPECT_TRUE(kernel::KernelOptionsFromConfig(config)
-                    .status()
-                    .IsInvalidArgument());
-  }
-  {
-    Config config;
-    config.Set("csr_compression", "gzip");
     EXPECT_TRUE(kernel::KernelOptionsFromConfig(config)
                     .status()
                     .IsInvalidArgument());
@@ -502,7 +350,7 @@ TEST(KernelOptionsTest, RegistryPropagatesBadKernelKeys) {
 TEST(KernelSimdTest, ExplicitAvx2MatchesHostCapability) {
   const CitationGraph g = MakeTinyGraph();
   auto ranker =
-      MakeRanker("pagerank", KernelConfig("avx2", "double", "none", false, 1))
+      MakeRanker("pagerank", KernelConfig("avx2", "double", false, 1))
           .value();
   const auto result = ranker->Rank(g);
   if (kernel::DetectSimdLevel() == kernel::SimdLevel::kAvx2) {

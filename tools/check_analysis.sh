@@ -52,7 +52,7 @@
 #   --bench-gate
 #              also run the bench-gate flavor: rank_scaling --smoke across
 #              the full iteration-engine variant matrix (scalar/simd x
-#              double/float x plain/compressed x fixed/adaptive), then
+#              double/float x fixed/adaptive), then
 #              serve_scaling --smoke against a live event-loop server. The
 #              binaries assert their own contracts (scalar-vs-SIMD
 #              bit-identity at every thread count and the <= 1e-6 float
@@ -128,7 +128,7 @@ cmake_flags_for() {
 }
 
 # Mirrors SCHOLAR_FUZZ_TARGETS in fuzz/CMakeLists.txt.
-FUZZ_TARGETS=(graph_io ground_truth aminer snapshot serve_request edge_batch compressed_csr)
+FUZZ_TARGETS=(graph_io ground_truth aminer snapshot serve_request edge_batch)
 
 run_fuzz_budgeted() {
   local build_dir=$1
