@@ -11,7 +11,9 @@
 /// ScoreSnapshot::Build + SnapshotManager::Install. Freshness is the
 /// wall-clock sum of those three stages for one epoch. The cold-rank
 /// baseline (what a naive rebuild-per-batch deployment would pay) and the
-/// end-of-replay drift against a cold oracle are recorded alongside.
+/// end-of-replay drift against a cold oracle are recorded alongside. In
+/// mode=full pagerank ranks each epoch with one exact publication-order
+/// pass, so its drift is 0.
 #include <cmath>
 #include <cstdio>
 #include <string>

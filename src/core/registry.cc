@@ -4,7 +4,6 @@
 #include "rank/citation_count.h"
 #include "rank/citerank.h"
 #include "rank/futurerank.h"
-#include "rank/gauss_seidel.h"
 #include "rank/hits.h"
 #include "rank/katz.h"
 #include "rank/kernel/kernel_options.h"
@@ -18,14 +17,13 @@
 namespace scholar {
 namespace {
 
-Result<PowerIterationOptions> PowerOptionsFromConfig(const Config& config) {
+PowerIterationOptions PowerOptionsFromConfig(const Config& config) {
   PowerIterationOptions o;
   o.damping = config.GetDoubleOr("damping", o.damping);
   o.tolerance = config.GetDoubleOr("tolerance", o.tolerance);
   o.max_iterations = static_cast<int>(
       config.GetIntOr("max_iterations", o.max_iterations));
   o.threads = static_cast<int>(config.GetIntOr("threads", o.threads));
-  SCHOLAR_ASSIGN_OR_RETURN(o.kernel, kernel::KernelOptionsFromConfig(config));
   return o;
 }
 
@@ -73,9 +71,8 @@ Result<std::shared_ptr<const Ranker>> MakeRanker(const std::string& name,
         std::make_shared<AgeNormalizedCitationCountRanker>());
   }
   if (lower == "pagerank" || lower == "pr") {
-    SCHOLAR_ASSIGN_OR_RETURN(PowerIterationOptions o,
-                             PowerOptionsFromConfig(config));
-    return std::shared_ptr<const Ranker>(std::make_shared<PageRankRanker>(o));
+    return std::shared_ptr<const Ranker>(
+        std::make_shared<PageRankRanker>(PowerOptionsFromConfig(config)));
   }
   if (lower == "pagerank_mc") {
     MonteCarloOptions o;
@@ -85,12 +82,6 @@ Result<std::shared_ptr<const Ranker>> MakeRanker(const std::string& name,
     o.seed = static_cast<uint64_t>(config.GetIntOr("mc_seed", 99));
     return std::shared_ptr<const Ranker>(
         std::make_shared<MonteCarloPageRankRanker>(o));
-  }
-  if (lower == "pagerank_gs") {
-    SCHOLAR_ASSIGN_OR_RETURN(PowerIterationOptions o,
-                             PowerOptionsFromConfig(config));
-    return std::shared_ptr<const Ranker>(
-        std::make_shared<GaussSeidelPageRankRanker>(o));
   }
   if (lower == "hits") {
     HitsOptions o;
@@ -104,7 +95,7 @@ Result<std::shared_ptr<const Ranker>> MakeRanker(const std::string& name,
   if (lower == "citerank") {
     CiteRankOptions o;
     o.tau = config.GetDoubleOr("tau", o.tau);
-    SCHOLAR_ASSIGN_OR_RETURN(o.power, PowerOptionsFromConfig(config));
+    o.power = PowerOptionsFromConfig(config);
     return std::shared_ptr<const Ranker>(std::make_shared<CiteRankRanker>(o));
   }
   if (lower == "futurerank") {
@@ -153,7 +144,7 @@ Result<std::shared_ptr<const Ranker>> MakeRanker(const std::string& name,
     o.sigma = config.GetDoubleOr("sigma", o.sigma);
     o.recency_jump = config.GetBoolOr("recency_jump", o.recency_jump);
     o.rho = config.GetDoubleOr("rho", o.rho);
-    SCHOLAR_ASSIGN_OR_RETURN(o.power, PowerOptionsFromConfig(config));
+    o.power = PowerOptionsFromConfig(config);
     return std::shared_ptr<const Ranker>(
         std::make_shared<TimeWeightedPageRank>(o));
   }
@@ -165,7 +156,7 @@ Result<std::shared_ptr<const Ranker>> MakeRanker(const std::string& name) {
 }
 
 std::vector<std::string> KnownRankerNames() {
-  return {"cc",       "age_cc",     "pagerank",   "pagerank_gs", "pagerank_mc", "hits",
+  return {"cc",       "age_cc",     "pagerank",   "pagerank_mc", "hits",
           "katz",     "sceas",      "venuerank",  "citerank",
           "futurerank", "twpr",     "ens_cc",     "ens_pagerank",
           "ens_twpr"};

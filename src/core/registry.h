@@ -15,7 +15,6 @@ namespace scholar {
 ///
 ///   cc, age_cc          — citation-count baselines (no parameters)
 ///   pagerank            — damping, tolerance, max_iterations
-///   pagerank_gs         — same system, Gauss-Seidel solver (fewer sweeps)
 ///   pagerank_mc         — Monte Carlo approximation; mc_walks, mc_seed,
 ///                         damping
 ///   hits                — tolerance, max_iterations

@@ -63,8 +63,9 @@ struct EnsembleOptions {
   /// trade-off.
   int window = 0;
   /// Seed each snapshot's iteration with the previous (smaller) snapshot's
-  /// scores. Purely a speedup — the fixed points are unchanged — and it
-  /// typically halves the total power-iteration count of the ensemble.
+  /// scores. Purely a speedup for the iterative bases (hits, katz, sceas)
+  /// — the fixed points are unchanged; the publication-order solver of
+  /// pagerank, twpr and citerank ignores the seed.
   bool warm_start = true;
   /// Worker threads: 0 = hardware concurrency, 1 = serial. Snapshots rank
   /// one after another in index order, with or without warm starts; the

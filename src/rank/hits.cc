@@ -99,7 +99,7 @@ Result<HitsRanker::HubsAndAuthorities> HitsRanker::RankBothOnAccess(
     std::vector<double> seed = *initial_authorities;
     if (NormalizeL2(&seed, pool, &partial) > 0.0) {
       out.authorities = std::move(seed);
-      copy_rows(hub_engine.Gather(out.authorities.data(), nullptr), &out.hubs);
+      copy_rows(hub_engine.Gather(out.authorities.data()), &out.hubs);
       if (NormalizeL2(&out.hubs, pool, &partial) == 0.0) {  // NOLINT(float-compare): a zero norm is returned exactly, never approximately
         out.hubs.assign(n, 1.0 / std::sqrt(static_cast<double>(n)));
       }
@@ -111,11 +111,11 @@ Result<HitsRanker::HubsAndAuthorities> HitsRanker::RankBothOnAccess(
     prev_auth = out.authorities;
     // Authority(v) = sum of hub(u) over citers u — a pull over the in-CSR;
     // each node writes only its own slot.
-    copy_rows(auth_engine.Gather(out.hubs.data(), nullptr), &out.authorities);
+    copy_rows(auth_engine.Gather(out.hubs.data()), &out.authorities);
     NormalizeL2(&out.authorities, pool, &partial);
     // Hub(u) = sum of authority(v) over references v — a pull over the
     // out-CSR.
-    copy_rows(hub_engine.Gather(out.authorities.data(), nullptr), &out.hubs);
+    copy_rows(hub_engine.Gather(out.authorities.data()), &out.hubs);
     NormalizeL2(&out.hubs, pool, &partial);
 
     ParallelForChunks(pool, n, kNodeGrain,

@@ -20,8 +20,8 @@ struct HitsOptions {
   /// Worker threads for the gather passes: 0 = hardware concurrency,
   /// 1 = serial. Bit-identical results at every setting.
   int threads = 0;
-  /// Iteration-engine variant knobs (SIMD / precision / weight codebook /
-  /// adaptive convergence), applied to both gather orientations; see
+  /// Iteration-engine variant knobs (SIMD / precision / adaptive
+  /// convergence), applied to both gather orientations; see
   /// rank/kernel/kernel_options.h.
   kernel::KernelOptions kernel;
 };

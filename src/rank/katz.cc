@@ -71,7 +71,7 @@ Result<RankResult> KatzRanker::RankImpl(const RankContext& ctx) const {
         contribution[u] = options_.alpha * (scores[u] + 1.0);
       }
     });
-    const double* gathered = engine.Gather(contribution.data(), nullptr);
+    const double* gathered = engine.Gather(contribution.data());
     ParallelForChunks(pool, n, kNodeGrain,
                       [&](size_t chunk, size_t begin, size_t end) {
       double residual_part = 0.0;

@@ -1,22 +1,19 @@
 #ifndef SCHOLARRANK_RANK_KERNEL_GATHER_ENGINE_H_
 #define SCHOLARRANK_RANK_KERNEL_GATHER_ENGINE_H_
 
-/// GatherEngine — the memory-bandwidth-conscious inner loop shared by every
-/// power-iteration kernel (PageRank/TWPR/CiteRank via the pagerank solver,
-/// Katz, SCEAS, both HITS orientations, and the streaming frontier ranker).
+/// GatherEngine — the memory-bandwidth-conscious inner loop of the kernels
+/// that still sweep: Katz, SCEAS, both HITS orientations and the streaming
+/// frontier ranker. (PageRank, TWPR and CiteRank solve in publication
+/// order instead; see rank/pagerank.h.)
 ///
 /// One sweep computes, for every row v of the chosen orientation,
 ///
-///   gather[v] = sum over row edges p of  w[p] * contrib[source(p)]
+///   gather[v] = sum over row edges p of  contrib[source(p)]
 ///
-/// (or the unweighted sum when no weight array is given). The engine owns
-/// the variant machinery behind that line:
+/// The engine owns the variant machinery behind that line:
 ///
 ///   simd             scalar striped / AVX2 (runtime-dispatched) / legacy
 ///   score_precision  double, or float mirrors with double accumulation
-///   weight_codebook  1-byte-per-edge codes into an L1 table of the (at
-///                    most 256) distinct weight values, built lazily per
-///                    weight array; falls back to raw weights past 256
 ///   adaptive         per-source movement tracking that re-gathers only
 ///                    rows whose inputs moved since their last gather
 ///
@@ -48,7 +45,6 @@ enum class GatherDirection { kInEdges, kOutEdges };
 struct ResolvedKernel {
   SimdMode simd = SimdMode::kScalar;
   ScorePrecision precision = ScorePrecision::kDouble;
-  bool weight_codebook = false;
   bool adaptive = false;
   double adaptive_tolerance = 0.0;
 };
@@ -60,23 +56,17 @@ class GatherEngine {
   GatherEngine& operator=(const GatherEngine&) = delete;
 
   /// Prepares the engine for sweeps over `access` in `direction`.
-  /// Re-initializable: buffers are reused across Init calls (the ensemble
-  /// ranks many snapshots through one scratch-owned engine). Fails with
+  /// Re-initializable: buffers are reused across Init calls. Fails with
   /// InvalidArgument when simd=avx2 is requested on a host without AVX2.
   Status Init(const GraphAccess& access, GatherDirection direction,
               const KernelOptions& options, ThreadPool* pool);
 
   /// Runs one sweep and returns the per-row results (size num_nodes; owned
   /// by the engine, valid until the next Init). `contrib` is the per-source
-  /// contribution array; `edge_weights` is indexed by this orientation's
-  /// edge ids (null = unweighted). In adaptive mode rows whose sources all
-  /// stayed within adaptive_tolerance of their last-observed values keep
-  /// their stored result; the first sweep after Init is always full.
-  ///
-  /// Adaptive staleness contract: `edge_weights` must be the same array,
-  /// with the same values, on every sweep of one Init lifetime (every
-  /// caller's weights are per-solve constants).
-  const double* Gather(const double* contrib, const double* edge_weights);
+  /// contribution array. In adaptive mode rows whose sources all stayed
+  /// within adaptive_tolerance of their last-observed values keep their
+  /// stored result; the first sweep after Init is always full.
+  const double* Gather(const double* contrib);
 
   /// Per-row re-gather flags of the last sweep (size num_nodes; adaptive
   /// mode only, null otherwise). A 0 row kept its stored value — streaming
@@ -93,40 +83,22 @@ class GatherEngine {
   size_t sweeps() const { return sweeps_; }
 
   const ResolvedKernel& resolved() const { return resolved_; }
-  /// Whether the last weight array seen fit the 256-entry codebook (false
-  /// until a weighted sweep runs with weight_codebook=true).
-  bool codebook_active() const { return codebook_active_; }
-  /// Distinct weight values in the active codebook (0 when inactive).
-  size_t codebook_entries() const {
-    return codebook_active_ ? code_table_.size() : 0;
-  }
 
  private:
   /// Recomputes stale_ for this sweep from contrib-vs-base_ movement and
   /// refreshes base_. Returns the number of stale rows.
   size_t MarkStaleRows(const double* contrib);
 
-  /// Runs the sweep with eval(v, idx, k) producing row v's value.
+  /// Runs the sweep with eval(idx, k) producing the value of the row whose
+  /// k neighbors are idx[0 .. k).
   template <typename Eval>
   void SweepRows(const Eval& eval);
 
-  /// Builds (or declines, past 256 distinct values) the byte-code /
-  /// value-table pair for `edge_weights`; sets codebook_active_.
-  void BuildWeightCodebook(const double* edge_weights);
-
-  /// Precision dispatch for one simd flavor (the kSum/kDot/kDotC template
-  /// arguments are that flavor's six row primitives).
+  /// Precision dispatch for one simd flavor (kSum/kSumF are that flavor's
+  /// double and float row primitives).
   template <double (*kSum)(const double*, const NodeId*, size_t),
-            double (*kDot)(const double*, const double*, const NodeId*,
-                           size_t),
-            double (*kSumF)(const float*, const NodeId*, size_t),
-            double (*kDotF)(const float*, const float*, const NodeId*,
-                            size_t),
-            double (*kDotC)(const double*, const double*, const uint8_t*,
-                            const NodeId*, size_t),
-            double (*kDotCF)(const float*, const float*, const uint8_t*,
-                             const NodeId*, size_t)>
-  void RunVariant(const double* contrib_d, const double* w_d, bool use_codes);
+            double (*kSumF)(const float*, const NodeId*, size_t)>
+  void RunVariant(const double* contrib_d);
 
   ResolvedKernel resolved_;
   ThreadPool* pool_ = nullptr;
@@ -143,19 +115,7 @@ class GatherEngine {
 
   std::vector<double> gather_;  // per-row results, persistent across sweeps
 
-  // float precision mirrors (contrib refreshed per sweep, weights once).
-  std::vector<float> contrib_f32_;
-  std::vector<float> weights_f32_;
-  const double* weights_seen_ = nullptr;
-
-  // weight_codebook: per-edge byte codes + the distinct-value tables they
-  // index (double, plus the float mirror for float-precision sweeps).
-  std::vector<uint8_t> weight_codes_;
-  std::vector<double> code_table_;
-  std::vector<float> code_table_f32_;
-  const double* codes_built_for_ = nullptr;
-  bool codebook_active_ = false;
-  size_t edge_extent_ = 0;  // highest edge id any row reaches
+  std::vector<float> contrib_f32_;  // float mirror, refreshed per sweep
 
   // adaptive state.
   std::vector<double> base_;      // per-source last-observed contribution

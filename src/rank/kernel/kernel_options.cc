@@ -47,10 +47,6 @@ Result<KernelOptions> KernelOptionsFromConfig(const Config& config) {
     SCHOLAR_ASSIGN_OR_RETURN(auto s, config.GetString("score_precision"));
     SCHOLAR_ASSIGN_OR_RETURN(opts.precision, ScorePrecisionFromString(s));
   }
-  if (config.Has("weight_codebook")) {
-    SCHOLAR_ASSIGN_OR_RETURN(opts.weight_codebook,
-                             config.GetBool("weight_codebook"));
-  }
   if (config.Has("adaptive")) {
     SCHOLAR_ASSIGN_OR_RETURN(opts.adaptive, config.GetBool("adaptive"));
   }

@@ -28,32 +28,21 @@ enum class SimdMode { kAuto, kScalar, kAvx2, kLegacy };
 /// Score-array element type used *inside* the gather.
 ///
 ///   kDouble  everything in double; the default and the reference.
-///   kFloat   the per-source contribution array (and any per-edge weight
-///            array) is mirrored to float — halving the bytes the
-///            bandwidth-bound gather touches — while every accumulation
-///            still happens in double. Drift vs the double path is bounded
-///            by float representation error of the inputs (measured
-///            <= 1e-6 absolute on every kernel; see tests/kernel_test.cc).
+///   kFloat   the per-source contribution array is mirrored to float —
+///            halving the bytes the bandwidth-bound gather touches — while
+///            every accumulation still happens in double. Drift vs the
+///            double path is bounded by float representation error of the
+///            inputs (measured <= 1e-6 absolute on every kernel; see
+///            tests/kernel_test.cc).
 enum class ScorePrecision { kDouble, kFloat };
 
-/// Knobs of the iteration engine (src/rank/kernel/). Embedded in every
-/// power-iteration option struct; plumbed from the registry config keys
-/// `simd=`, `score_precision=`, `weight_codebook=`, `adaptive=`,
-/// `adaptive_tolerance=`.
+/// Knobs of the iteration engine (src/rank/kernel/). Embedded in the
+/// option structs of the rankers that sweep (katz, sceas, hits, the
+/// streaming frontier); plumbed from the registry config keys `simd=`,
+/// `score_precision=`, `adaptive=`, `adaptive_tolerance=`.
 struct KernelOptions {
   SimdMode simd = SimdMode::kAuto;
   ScorePrecision precision = ScorePrecision::kDouble;
-  /// Compress the per-edge weight stream to one byte per edge. At the
-  /// first sweep over a given weight array the engine collects its
-  /// distinct double bit patterns; when there are at most 256 (TWPR's
-  /// exp(-sigma*gap) weights have one per distinct year gap — a few
-  /// dozen) each edge stores a byte code into an L1-resident table of the
-  /// original doubles. Every multiply reads the identical double (float
-  /// mode: the identical float mirror) out of the table, so scores are
-  /// bit-identical to the raw-weight path while the weight stream shrinks
-  /// 8x (f64) / 4x (f32). Arrays with more than 256 distinct patterns
-  /// silently fall back to raw weights; unweighted sweeps ignore the knob.
-  bool weight_codebook = false;
   /// Adaptive convergence: a row is re-gathered only when one of its
   /// sources' contributions moved by more than `adaptive_tolerance` since
   /// the row's inputs were last read; untouched rows reuse their stored

@@ -30,9 +30,7 @@ const char* SimdIsaName() {
 // The AVX2 bodies mirror the scalar striped primitives exactly: vector
 // lane j holds the partial sum of in-row positions i with i % 4 == j
 // (i % 8 for float inputs), accumulated in increasing i order, and the
-// lanes combine through the same pairwise tree. Multiplication and
-// addition stay separate instructions — an FMA would fuse the rounding
-// step and break bit-identity with the scalar oracle.
+// lanes combine through the same pairwise tree.
 
 __attribute__((target("avx2"))) double RowSumAvx2(const double* contrib,
                                                   const NodeId* idx,
@@ -47,25 +45,6 @@ __attribute__((target("avx2"))) double RowSumAvx2(const double* contrib,
   alignas(32) double lane[4];
   _mm256_store_pd(lane, acc);
   for (; i < k; ++i) lane[i & 3] += contrib[idx[i]];
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-__attribute__((target("avx2"))) double RowDotAvx2(const double* contrib,
-                                                  const double* w,
-                                                  const NodeId* idx,
-                                                  size_t k) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= k; i += 4) {
-    const __m128i vi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    const __m256d gathered = _mm256_i32gather_pd(contrib, vi, 8);
-    const __m256d weights = _mm256_loadu_pd(w + i);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(weights, gathered));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (; i < k; ++i) lane[i & 3] += w[i] * contrib[idx[i]];
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
@@ -90,100 +69,6 @@ __attribute__((target("avx2"))) double RowSumAvx2F32(const float* contrib,
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-__attribute__((target("avx2"))) double RowDotAvx2F32(const float* contrib,
-                                                     const float* w,
-                                                     const NodeId* idx,
-                                                     size_t k) {
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= k; i += 8) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    const __m256 g = _mm256_i32gather_ps(contrib, vi, 4);
-    const __m256 wf = _mm256_loadu_ps(w + i);
-    const __m256d g_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(g));
-    const __m256d g_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(g, 1));
-    const __m256d w_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(wf));
-    const __m256d w_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(wf, 1));
-    acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(w_lo, g_lo));
-    acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(w_hi, g_hi));
-  }
-  alignas(32) double lane[8];
-  _mm256_store_pd(lane, acc_lo);
-  _mm256_store_pd(lane + 4, acc_hi);
-  for (; i < k; ++i) {
-    lane[i & 7] +=
-        static_cast<double>(w[i]) * static_cast<double>(contrib[idx[i]]);
-  }
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
-__attribute__((target("avx2"))) double RowDotCodeAvx2(const double* contrib,
-                                                      const double* table,
-                                                      const uint8_t* codes,
-                                                      const NodeId* idx,
-                                                      size_t k) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= k; i += 4) {
-    const __m128i vi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    const __m256d gathered = _mm256_i32gather_pd(contrib, vi, 8);
-    // The table is at most 256 doubles (L1-resident); four scalar lookups
-    // beat a hardware gather over it.
-    const __m256d weights =
-        _mm256_set_pd(table[codes[i + 3]], table[codes[i + 2]],
-                      table[codes[i + 1]], table[codes[i]]);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(weights, gathered));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (; i < k; ++i) lane[i & 3] += table[codes[i]] * contrib[idx[i]];
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-__attribute__((target("avx2"))) double RowDotCodeAvx2F32(const float* contrib,
-                                                         const float* table,
-                                                         const uint8_t* codes,
-                                                         const NodeId* idx,
-                                                         size_t k) {
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= k; i += 8) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    const __m256 g = _mm256_i32gather_ps(contrib, vi, 4);
-    const __m256d g_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(g));
-    const __m256d g_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(g, 1));
-    // float -> double widening is exact, so building the weight vectors
-    // from scalar table hits matches _mm256_cvtps_pd of the raw mirror.
-    const __m256d w_lo =
-        _mm256_set_pd(static_cast<double>(table[codes[i + 3]]),
-                      static_cast<double>(table[codes[i + 2]]),
-                      static_cast<double>(table[codes[i + 1]]),
-                      static_cast<double>(table[codes[i]]));
-    const __m256d w_hi =
-        _mm256_set_pd(static_cast<double>(table[codes[i + 7]]),
-                      static_cast<double>(table[codes[i + 6]]),
-                      static_cast<double>(table[codes[i + 5]]),
-                      static_cast<double>(table[codes[i + 4]]));
-    acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(w_lo, g_lo));
-    acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(w_hi, g_hi));
-  }
-  alignas(32) double lane[8];
-  _mm256_store_pd(lane, acc_lo);
-  _mm256_store_pd(lane + 4, acc_hi);
-  for (; i < k; ++i) {
-    lane[i & 7] += static_cast<double>(table[codes[i]]) *
-                   static_cast<double>(contrib[idx[i]]);
-  }
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
 #else  // !SCHOLAR_KERNEL_X86
 
 // Non-x86 hosts: DetectSimdLevel() never reports kAvx2, so these are
@@ -192,24 +77,8 @@ __attribute__((target("avx2"))) double RowDotCodeAvx2F32(const float* contrib,
 double RowSumAvx2(const double* contrib, const NodeId* idx, size_t k) {
   return RowSumScalar(contrib, idx, k);
 }
-double RowDotAvx2(const double* contrib, const double* w, const NodeId* idx,
-                  size_t k) {
-  return RowDotScalar(contrib, w, idx, k);
-}
 double RowSumAvx2F32(const float* contrib, const NodeId* idx, size_t k) {
   return RowSumScalarF32(contrib, idx, k);
-}
-double RowDotAvx2F32(const float* contrib, const float* w, const NodeId* idx,
-                     size_t k) {
-  return RowDotScalarF32(contrib, w, idx, k);
-}
-double RowDotCodeAvx2(const double* contrib, const double* table,
-                      const uint8_t* codes, const NodeId* idx, size_t k) {
-  return RowDotCodeScalar(contrib, table, codes, idx, k);
-}
-double RowDotCodeAvx2F32(const float* contrib, const float* table,
-                         const uint8_t* codes, const NodeId* idx, size_t k) {
-  return RowDotCodeScalarF32(contrib, table, codes, idx, k);
 }
 
 #endif  // SCHOLAR_KERNEL_X86

@@ -9,15 +9,14 @@
 ///           i % lanes == j, and the lanes combine pairwise
 ///           ((l0+l1)+(l2+l3)) [+ ((l4+l5)+(l6+l7)) in float mode].
 ///   avx2    the same lane assignment executed with hardware gathers and
-///           256-bit adds — *bit-identical* to scalar by construction
-///           (no FMA contraction: explicit mul-then-add on both paths).
+///           256-bit adds — *bit-identical* to scalar by construction.
 ///   legacy  the pre-kernel strictly sequential accumulation (PR-2
 ///           order), kept as the historical baseline; differs from the
 ///           striped order only by last-ulp regrouping.
 ///
-/// Float-precision variants read float contributions/weights but widen
-/// every operand to double *before* multiplying, so the only error vs the
-/// double path is the float representation error of the inputs.
+/// Float-precision variants read float contributions but widen every
+/// operand to double before adding, so the only error vs the double path
+/// is the float representation error of the inputs.
 ///
 /// This header is intrinsic-free; every raw intrinsic lives in simd.cc
 /// (the scholar_analyze `raw-intrinsics` rule bans them anywhere outside
@@ -43,8 +42,7 @@ const char* SimdIsaName();
 
 // --------------------------------------------------------------------------
 // Scalar striped primitives (the bit-exactness oracle for the AVX2 path).
-// `idx[0..k)` are in-row neighbor positions into `contrib`; `w`, when
-// present, is the per-edge weight slice aligned with idx.
+// `idx[0..k)` are in-row neighbor positions into `contrib`.
 // --------------------------------------------------------------------------
 
 inline double RowSumScalar(const double* contrib, const NodeId* idx,
@@ -54,60 +52,11 @@ inline double RowSumScalar(const double* contrib, const NodeId* idx,
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-inline double RowDotScalar(const double* contrib, const double* w,
-                           const NodeId* idx, size_t k) {
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  for (size_t i = 0; i < k; ++i) lane[i & 3] += w[i] * contrib[idx[i]];
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
 inline double RowSumScalarF32(const float* contrib, const NodeId* idx,
                               size_t k) {
   double lane[8] = {0.0};
   for (size_t i = 0; i < k; ++i) {
     lane[i & 7] += static_cast<double>(contrib[idx[i]]);
-  }
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
-inline double RowDotScalarF32(const float* contrib, const float* w,
-                              const NodeId* idx, size_t k) {
-  double lane[8] = {0.0};
-  for (size_t i = 0; i < k; ++i) {
-    lane[i & 7] +=
-        static_cast<double>(w[i]) * static_cast<double>(contrib[idx[i]]);
-  }
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
-// --------------------------------------------------------------------------
-// Codebook-weight variants: the per-edge weight is `table[codes[i]]`
-// instead of `w[i]`. The engine builds the table so that
-// table[codes[e]] is bit-equal to the raw weight w[e] (and the float
-// table bit-equal to the float mirror), so each variant is bit-identical
-// to its direct-weight sibling — the table lookup just replaces an 8-byte
-// (4-byte) weight-stream load with a 1-byte code load plus an L1 hit.
-// --------------------------------------------------------------------------
-
-inline double RowDotCodeScalar(const double* contrib, const double* table,
-                               const uint8_t* codes, const NodeId* idx,
-                               size_t k) {
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  for (size_t i = 0; i < k; ++i) {
-    lane[i & 3] += table[codes[i]] * contrib[idx[i]];
-  }
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-inline double RowDotCodeScalarF32(const float* contrib, const float* table,
-                                  const uint8_t* codes, const NodeId* idx,
-                                  size_t k) {
-  double lane[8] = {0.0};
-  for (size_t i = 0; i < k; ++i) {
-    lane[i & 7] += static_cast<double>(table[codes[i]]) *
-                   static_cast<double>(contrib[idx[i]]);
   }
   return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
@@ -124,45 +73,10 @@ inline double RowSumLegacy(const double* contrib, const NodeId* idx,
   return acc;
 }
 
-inline double RowDotLegacy(const double* contrib, const double* w,
-                           const NodeId* idx, size_t k) {
-  double acc = 0.0;
-  for (size_t i = 0; i < k; ++i) acc += w[i] * contrib[idx[i]];
-  return acc;
-}
-
 inline double RowSumLegacyF32(const float* contrib, const NodeId* idx,
                               size_t k) {
   double acc = 0.0;
   for (size_t i = 0; i < k; ++i) acc += static_cast<double>(contrib[idx[i]]);
-  return acc;
-}
-
-inline double RowDotLegacyF32(const float* contrib, const float* w,
-                              const NodeId* idx, size_t k) {
-  double acc = 0.0;
-  for (size_t i = 0; i < k; ++i) {
-    acc += static_cast<double>(w[i]) * static_cast<double>(contrib[idx[i]]);
-  }
-  return acc;
-}
-
-inline double RowDotCodeLegacy(const double* contrib, const double* table,
-                               const uint8_t* codes, const NodeId* idx,
-                               size_t k) {
-  double acc = 0.0;
-  for (size_t i = 0; i < k; ++i) acc += table[codes[i]] * contrib[idx[i]];
-  return acc;
-}
-
-inline double RowDotCodeLegacyF32(const float* contrib, const float* table,
-                                  const uint8_t* codes, const NodeId* idx,
-                                  size_t k) {
-  double acc = 0.0;
-  for (size_t i = 0; i < k; ++i) {
-    acc += static_cast<double>(table[codes[i]]) *
-           static_cast<double>(contrib[idx[i]]);
-  }
   return acc;
 }
 
@@ -173,15 +87,7 @@ inline double RowDotCodeLegacyF32(const float* contrib, const float* table,
 // --------------------------------------------------------------------------
 
 double RowSumAvx2(const double* contrib, const NodeId* idx, size_t k);
-double RowDotAvx2(const double* contrib, const double* w, const NodeId* idx,
-                  size_t k);
 double RowSumAvx2F32(const float* contrib, const NodeId* idx, size_t k);
-double RowDotAvx2F32(const float* contrib, const float* w, const NodeId* idx,
-                     size_t k);
-double RowDotCodeAvx2(const double* contrib, const double* table,
-                      const uint8_t* codes, const NodeId* idx, size_t k);
-double RowDotCodeAvx2F32(const float* contrib, const float* table,
-                         const uint8_t* codes, const NodeId* idx, size_t k);
 
 }  // namespace kernel
 }  // namespace scholar

@@ -1,7 +1,7 @@
 #include "rank/pagerank.h"
 
-#include <atomic>
 #include <cmath>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -12,123 +12,12 @@ namespace scholar {
 
 namespace {
 
-/// Chunk size of every per-node parallel loop in the solver. Part of the
-/// determinism contract: chunk geometry depends on (n, grain) only, never
-/// on the thread count, so ordered per-chunk reductions group additions the
-/// same way at any parallelism level.
+/// Chunk size of the per-row loop; chunk geometry depends on (n, grain)
+/// only, never on the thread count.
 constexpr size_t kNodeGrain = 2048;
 
-/// Sums `partial[0 .. chunks)` in index order (fixed fp grouping).
-double OrderedSum(const std::vector<double>& partial, size_t chunks) {
-  double total = 0.0;
-  for (size_t c = 0; c < chunks; ++c) total += partial[c];
-  return total;
-}
-
-/// Starting score vector: `initial` L1-normalized, or uniform when it is
-/// absent or has non-positive mass.
-std::vector<double> BuildInitialScores(size_t n,
-                                       const std::vector<double>& initial) {
-  std::vector<double> scores(n, 1.0 / static_cast<double>(n));
-  if (!initial.empty()) {
-    double total = 0.0;
-    bool valid = true;
-    for (double v : initial) {
-      if (v < 0.0) {
-        valid = false;
-        break;
-      }
-      total += v;
-    }
-    if (valid && total > 0.0) {
-      for (NodeId v = 0; v < n; ++v) scores[v] = initial[v] / total;
-    }
-  }
-  return scores;
-}
-
-/// The damped fixed-point loop shared by the full-graph and view solvers.
-/// `inv_row[u]` is the inverted weighted out-degree of source u (0 for
-/// dangling rows), `in_weights` the raw per-edge weights in in-edge order
-/// (null = uniform). Each round stages `contrib[u] = inv_row[u] * scores[u]`
-/// and hands the O(m) gather to the scratch-owned kernel::GatherEngine —
-/// both solvers therefore form the per-edge term as
-/// `w_in[p] * (inv_row[u] * scores[u])` through identical primitives, which
-/// is what keeps the view path bit-identical to the materialized one.
-Status RunPowerLoop(const GraphAccess& a, const std::vector<double>& jump,
-                    const PowerIterationOptions& options, ThreadPool* pool,
-                    PowerIterationScratch& s, std::vector<double>& scores,
-                    RankResult& result, const double* inv_row,
-                    const double* in_weights) {
-  const size_t n = a.num_nodes;
-  const double uniform = 1.0 / static_cast<double>(n);
-  s.next.resize(n);
-  s.contrib.resize(n);
-  const size_t chunks = ChunkCount(n, kNodeGrain);
-  s.partial.assign(chunks, 0.0);
-  SCHOLAR_RETURN_NOT_OK(s.engine.Init(a, kernel::GatherDirection::kInEdges,
-                                      options.kernel, pool));
-
-  result.converged = false;
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Stage the per-source contributions and collect the dangling mass as
-    // ordered per-chunk partials.
-    ParallelForChunks(pool, n, kNodeGrain,
-                      [&](size_t chunk, size_t begin, size_t end) {
-      double dangling_part = 0.0;
-      for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-        s.contrib[u] = inv_row[u] * scores[u];
-        if (s.dangling[u]) dangling_part += scores[u];
-      }
-      s.partial[chunk] = dangling_part;
-    });
-    const double dangling_mass = OrderedSum(s.partial, chunks);
-
-    // Phase A: the O(m) pull-gather, in the engine's selected variant.
-    const double* gathered = s.engine.Gather(s.contrib.data(), in_weights);
-
-    const double teleport =
-        options.damping * dangling_mass + (1.0 - options.damping);
-
-    // Phase B (parallel): damp, teleport, and measure the L1 residual as
-    // ordered per-chunk partials. Always full — teleport reaches every
-    // node, so even adaptive sweeps apply it exactly.
-    ParallelForChunks(pool, n, kNodeGrain,
-                      [&](size_t chunk, size_t begin, size_t end) {
-      double residual_part = 0.0;
-      if (jump.empty()) {
-        const double teleport_uniform = teleport * uniform;
-        for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
-          const double nv = options.damping * gathered[v] + teleport_uniform;
-          residual_part += std::abs(nv - scores[v]);
-          s.next[v] = nv;
-        }
-      } else {
-        for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
-          const double nv = options.damping * gathered[v] + teleport * jump[v];
-          residual_part += std::abs(nv - scores[v]);
-          s.next[v] = nv;
-        }
-      }
-      s.partial[chunk] = residual_part;
-    });
-    const double residual = OrderedSum(s.partial, chunks);
-
-    scores.swap(s.next);
-    result.iterations = iter;
-    result.final_residual = residual;
-    if (residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  return Status::OK();
-}
-
-/// Shared validation of the option/vector shapes common to both solvers.
 Status ValidateSolverArgs(size_t n, const std::vector<double>& jump,
-                          const PowerIterationOptions& options,
-                          const std::vector<double>& initial_scores) {
+                          const PowerIterationOptions& options) {
   if (options.damping < 0.0 || options.damping >= 1.0) {
     return Status::InvalidArgument("damping must be in [0,1), got " +
                                    std::to_string(options.damping));
@@ -152,15 +41,56 @@ Status ValidateSolverArgs(size_t n, const std::vector<double>& jump,
                                      std::to_string(sum) + ", expected 1");
     }
   }
-  if (!initial_scores.empty() && initial_scores.size() != n) {
-    return Status::InvalidArgument(
-        "initial_scores size " + std::to_string(initial_scores.size()) +
-        " != num_nodes " + std::to_string(n));
-  }
   return Status::OK();
 }
 
+/// One descending pass: y[u] = b[u] + acc[u], then u's damped, row-scaled
+/// score is pushed to its kept references. acc[u] is consumed as it is
+/// read, so mass pushed up to an already-set row stays for the next pass.
+void Pass(const CitationGraph& g, const YearGapWeights* weights,
+          const std::vector<double>& jump, PowerIterationScratch& s,
+          double* y) {
+  double* acc = s.acc.data();
+  const EdgeId* begin = g.out_offsets().data();
+  const NodeId* nbrs = g.out_neighbors().data();
+  const Year* years = g.years().data();
+  for (size_t u = s.row_end.size(); u-- > 0;) {
+    const double yu = (jump.empty() ? 1.0 : jump[u]) + acc[u];
+    acc[u] = 0.0;
+    y[u] = yu;
+    const double push = s.row_scale[u] * yu;
+    if (weights == nullptr) {
+      for (EdgeId e = begin[u]; e < s.row_end[u]; ++e) acc[nbrs[e]] += push;
+    } else {
+      const Year tu = years[u];
+      for (EdgeId e = begin[u]; e < s.row_end[u]; ++e) {
+        acc[nbrs[e]] += (*weights)(tu, years[nbrs[e]]) * push;
+      }
+    }
+  }
+}
+
 }  // namespace
+
+YearGapWeights::YearGapWeights(double sigma, const std::vector<Year>& years)
+    : sigma_(sigma) {
+  Year lo = kUnknownYear;
+  Year hi = kUnknownYear;
+  for (Year year : years) {
+    if (year == kUnknownYear) continue;
+    lo = lo == kUnknownYear ? year : std::min(lo, year);
+    hi = std::max(hi, year);
+  }
+  // A corrupt year far from the rest must not size the table.
+  constexpr int64_t kMaxTabledGap = 1024;
+  table_.resize(lo == kUnknownYear
+                    ? 1
+                    : static_cast<size_t>(
+                          std::min(YearGap(hi, lo), kMaxTabledGap)) + 1);
+  for (size_t gap = 0; gap < table_.size(); ++gap) {
+    table_[gap] = std::exp(-sigma * static_cast<double>(gap));
+  }
+}
 
 ThreadPool* PowerIterationScratch::PoolFor(size_t workers) {
   if (workers <= 1) return nullptr;
@@ -194,171 +124,97 @@ std::vector<double> ExtendScoresForGrownGraph(
   return scores;
 }
 
-Result<RankResult> WeightedPowerIteration(
-    const CitationGraph& graph, const std::vector<double>& edge_weights,
-    const std::vector<double>& jump, const PowerIterationOptions& options,
-    const std::vector<double>& initial_scores,
-    PowerIterationScratch* scratch) {
-  const size_t n = graph.num_nodes();
-  const size_t m = graph.num_edges();
-  SCHOLAR_RETURN_NOT_OK(ValidateSolverArgs(n, jump, options, initial_scores));
-  if (!edge_weights.empty() && edge_weights.size() != m) {
-    return Status::InvalidArgument(
-        "edge_weights size " + std::to_string(edge_weights.size()) +
-        " != num_edges " + std::to_string(m));
-  }
+Result<RankResult> SolveInPublicationOrder(const SnapshotView& view,
+                                           const YearGapWeights* weights,
+                                           const std::vector<double>& jump,
+                                           const PowerIterationOptions& options,
+                                           PowerIterationScratch* scratch) {
+  const size_t n = view.num_nodes();
+  SCHOLAR_RETURN_NOT_OK(ValidateSolverArgs(n, jump, options));
   if (n == 0) return RankResult{};
 
   PowerIterationScratch local_scratch;
   PowerIterationScratch& s = scratch != nullptr ? *scratch : local_scratch;
   ThreadPool* pool = s.PoolFor(ResolveThreads(options.threads));
+  const CitationGraph& g = view.temporal_csr()->sorted_graph();
 
-  const std::vector<EdgeId>& out_offsets = graph.out_offsets();
-  const std::vector<NodeId>& out_neighbors = graph.out_neighbors();
-  const std::vector<EdgeId>& in_offsets = graph.in_offsets();
-  const bool uniform_weights = edge_weights.empty();
-
-  // Pass 1 (parallel): *inverted* weighted out-degree and dangling flag
-  // per source (0.0 for dangling rows, so their gather terms vanish
-  // exactly).
-  s.row_weight.assign(n, 0.0);
-  s.dangling.assign(n, 0);
-  std::atomic<bool> negative_weight{false};
-  ParallelFor(pool, n, kNodeGrain, [&](size_t begin, size_t end) {
-    if (uniform_weights) {
-      for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-        const double degree =
-            static_cast<double>(out_offsets[u + 1] - out_offsets[u]);
-        s.dangling[u] = degree <= 0.0 ? 1 : 0;
-        s.row_weight[u] = degree <= 0.0 ? 0.0 : 1.0 / degree;
-      }
-      return;
-    }
+  // Per row: the kept prefix, its weight, and whether it reaches up. Rows
+  // ascend, so a row's upward references are its kept suffix at or above u.
+  s.row_end.resize(n);
+  s.row_scale.resize(n);
+  const size_t chunks = ChunkCount(n, kNodeGrain);
+  s.partial.assign(chunks, 0);
+  ParallelForChunks(pool, n, kNodeGrain,
+                    [&](size_t chunk, size_t begin, size_t end) {
+    size_t upward = 0;
     for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-      double row = 0.0;
-      for (EdgeId e = out_offsets[u]; e < out_offsets[u + 1]; ++e) {
-        const double w = edge_weights[e];
-        if (w < 0.0) negative_weight.store(true, std::memory_order_relaxed);  // NOLINT(atomic-confinement): monotone one-way flag; readers check it only after the ParallelFor join, which orders the stores
-        row += w;
+      const std::span<const NodeId> row = view.References(u);
+      s.row_end[u] = g.out_offsets()[u] + row.size();
+      double row_weight = static_cast<double>(row.size());
+      if (weights != nullptr) {
+        row_weight = 0.0;
+        for (NodeId v : row) row_weight += (*weights)(g.year(u), g.year(v));
       }
-      s.dangling[u] = row <= 0.0 ? 1 : 0;
-      s.row_weight[u] = row <= 0.0 ? 0.0 : 1.0 / row;
+      s.row_scale[u] = row_weight > 0.0 ? options.damping / row_weight : 0.0;
+      upward += !row.empty() && row.back() >= u;
     }
+    s.partial[chunk] = upward;
   });
-  if (negative_weight.load()) {
-    return Status::InvalidArgument("negative edge weight");
-  }
+  bool upward = false;
+  for (size_t c = 0; c < chunks; ++c) upward = upward || s.partial[c] != 0;
 
-  // Pass 2 (one serial scatter, weighted only): the *raw* edge weights in
-  // in-edge order. Mirrors the reverse-CSR construction of
-  // CitationGraph::FromCsr — sources are scanned ascending, so
-  // s.in_weights[p] lines up with in_neighbors[p] — and is exact even for
-  // multi-edges, which a per-edge binary search would conflate. Uniform
-  // weights need no per-edge array at all: the whole O(m) stream the old
-  // transition precompute read each sweep is gone.
-  const double* in_weights = nullptr;
-  if (!uniform_weights) {
-    s.in_weights.resize(m);
-    s.cursor.assign(in_offsets.begin(), in_offsets.end() - 1);
-    for (NodeId u = 0; u < n; ++u) {
-      for (EdgeId e = out_offsets[u]; e < out_offsets[u + 1]; ++e) {
-        s.in_weights[s.cursor[out_neighbors[e]]++] = edge_weights[e];
-      }
-    }
-    in_weights = s.in_weights.data();
-  }
-
-  std::vector<double> scores = BuildInitialScores(n, initial_scores);
+  s.acc.assign(n, 0.0);
+  if (upward) s.previous.assign(n, 1.0 / static_cast<double>(n));
   RankResult result;
-  const GraphAccess a = AccessOf(graph);
-  SCHOLAR_RETURN_NOT_OK(RunPowerLoop(a, jump, options, pool, s, scores,
-                                     result, s.row_weight.data(),
-                                     in_weights));
-  result.scores = std::move(scores);
+  result.scores.resize(n);
+  result.converged = false;
+  for (int pass = 1; pass <= options.max_iterations; ++pass) {
+    Pass(g, weights, jump, s, result.scores.data());
+    double total = 0.0;
+    for (double y : result.scores) total += y;
+    double residual = 0.0;
+    for (size_t u = 0; u < n; ++u) {
+      result.scores[u] /= total;
+      if (upward) residual += std::abs(result.scores[u] - s.previous[u]);
+    }
+    result.iterations = pass;
+    result.final_residual = residual;
+    // With upward references the first pass has no predecessor to
+    // compare with (its residual is taken against the uniform vector), so
+    // at least two passes run.
+    if (!upward || (pass > 1 && residual < options.tolerance)) {
+      result.converged = true;
+      break;
+    }
+    // The next pass sets every y afresh; only acc carries over.
+    if (pass < options.max_iterations) s.previous.swap(result.scores);
+  }
   return result;
 }
 
-Result<RankResult> WeightedPowerIterationOnView(
-    const SnapshotView& view, const std::vector<double>& out_edge_weights,
-    const std::vector<double>& in_edge_weights, const std::vector<double>& jump,
-    const PowerIterationOptions& options,
-    const std::vector<double>& initial_scores, PowerIterationScratch* scratch) {
-  const size_t n = view.num_nodes();
-  SCHOLAR_RETURN_NOT_OK(ValidateSolverArgs(n, jump, options, initial_scores));
-  const bool uniform_weights = out_edge_weights.empty();
-  if (uniform_weights ? !in_edge_weights.empty() : in_edge_weights.empty()) {
-    return Status::InvalidArgument(
-        "out_edge_weights and in_edge_weights must both be set or both "
-        "empty");
-  }
-  if (n == 0) return RankResult{};
-  const size_t m = view.temporal_csr()->sorted_graph().num_edges();
-  if (!uniform_weights &&
-      (out_edge_weights.size() != m || in_edge_weights.size() != m)) {
-    return Status::InvalidArgument(
-        "view edge weight arrays must cover the parent graph: got " +
-        std::to_string(out_edge_weights.size()) + " / " +
-        std::to_string(in_edge_weights.size()) + " weights for " +
-        std::to_string(m) + " parent edges");
-  }
-
-  PowerIterationScratch local_scratch;
-  PowerIterationScratch& s = scratch != nullptr ? *scratch : local_scratch;
-  ThreadPool* pool = s.PoolFor(ResolveThreads(options.threads));
-  const GraphAccess a = AccessOf(view, &s.view_rows, pool);
-
-  // Pass 1 (parallel): *inverted* weighted out-degree over the kept row
-  // prefixes (0.0 for dangling rows, so the gather term vanishes exactly).
-  // Identical staging to the full-graph solver, on the same values — which
-  // is what keeps view scores bitwise equal to the materialized snapshot's.
-  s.row_weight.assign(n, 0.0);
-  s.dangling.assign(n, 0);
-  std::atomic<bool> negative_weight{false};
-  ParallelFor(pool, n, kNodeGrain, [&](size_t begin, size_t end) {
-    if (uniform_weights) {
-      for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-        const double degree = static_cast<double>(a.OutDegree(u));
-        s.dangling[u] = degree <= 0.0 ? 1 : 0;
-        s.row_weight[u] = degree <= 0.0 ? 0.0 : 1.0 / degree;
-      }
-      return;
+Result<RankResult> RankInPublicationOrder(
+    const RankContext& ctx,
+    const std::function<Result<RankResult>(const SnapshotView&)>& solve) {
+  if (ctx.NumNodes() == 0) return RankResult{};
+  if (ctx.view != nullptr) return solve(*ctx.view);
+  const TemporalCsr tcsr(*ctx.graph);
+  SCHOLAR_ASSIGN_OR_RETURN(RankResult result, solve(tcsr.FullView()));
+  if (!tcsr.is_identity()) {
+    std::vector<double> scores(result.scores.size());
+    for (NodeId v = 0; v < scores.size(); ++v) {
+      scores[tcsr.ToParent(v)] = result.scores[v];
     }
-    for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-      double row = 0.0;
-      for (EdgeId e = a.out_begin[u]; e < a.out_end[u]; ++e) {
-        const double w = out_edge_weights[e];
-        if (w < 0.0) negative_weight.store(true, std::memory_order_relaxed);  // NOLINT(atomic-confinement): monotone one-way flag; readers check it only after the ParallelFor join, which orders the stores
-        row += w;
-      }
-      s.dangling[u] = row <= 0.0 ? 1 : 0;
-      s.row_weight[u] = row <= 0.0 ? 0.0 : 1.0 / row;
-    }
-  });
-  if (negative_weight.load()) {
-    return Status::InvalidArgument("negative edge weight");
+    result.scores = std::move(scores);
   }
-
-  std::vector<double> scores = BuildInitialScores(n, initial_scores);
-  RankResult result;
-  SCHOLAR_RETURN_NOT_OK(RunPowerLoop(
-      a, jump, options, pool, s, scores, result, s.row_weight.data(),
-      uniform_weights ? nullptr : in_edge_weights.data()));
-  result.scores = std::move(scores);
   return result;
 }
 
 Result<RankResult> PageRankRanker::RankImpl(const RankContext& ctx) const {
   SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
-  const std::vector<double> no_initial;
-  const std::vector<double>& initial =
-      ctx.initial_scores != nullptr ? *ctx.initial_scores : no_initial;
-  if (ctx.view != nullptr) {
-    return WeightedPowerIterationOnView(*ctx.view, /*out_edge_weights=*/{},
-                                        /*in_edge_weights=*/{}, /*jump=*/{},
-                                        options_, initial, ctx.scratch);
-  }
-  return WeightedPowerIteration(*ctx.graph, /*edge_weights=*/{}, /*jump=*/{},
-                                options_, initial, ctx.scratch);
+  return RankInPublicationOrder(ctx, [&](const SnapshotView& view) {
+    return SolveInPublicationOrder(view, /*weights=*/nullptr, /*jump=*/{},
+                                   options_, ctx.scratch);
+  });
 }
 
 }  // namespace scholar

@@ -1,41 +1,63 @@
 #ifndef SCHOLARRANK_RANK_PAGERANK_H_
 #define SCHOLARRANK_RANK_PAGERANK_H_
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "graph/graph_access.h"
-#include "rank/kernel/gather_engine.h"
-#include "rank/kernel/kernel_options.h"
+#include "graph/types.h"
 #include "rank/ranker.h"
 #include "util/thread_pool.h"
 
 namespace scholar {
 
-/// Shared knobs of all power-iteration rankers.
+/// Shared knobs of the linear rankers (PageRank, TWPR, CiteRank).
 struct PowerIterationOptions {
   /// Probability of following a citation (1 - teleport probability).
   double damping = 0.85;
-  /// Stop when the L1 change between successive score vectors drops below
-  /// this.
+  /// Only consulted when a kept reference points to a newer article (see
+  /// SolveInPublicationOrder): passes then repeat until the L1 change of
+  /// the scores drops below this.
   double tolerance = 1e-10;
+  /// Cap on those passes.
   int max_iterations = 200;
-  /// Worker threads for the pull-based iteration: 0 (default) = hardware
-  /// concurrency, 1 = serial, N = exactly N. Scores are bit-identical at
-  /// every setting (see the determinism note on WeightedPowerIteration).
+  /// Worker threads for the per-row weights and the jump vectors: 0
+  /// (default) = hardware concurrency, 1 = serial, N = exactly N. The pass
+  /// itself is serial, so scores are bit-identical at every setting.
   int threads = 0;
-  /// Iteration-engine variant knobs (SIMD / precision / weight codebook /
-  /// adaptive convergence); see rank/kernel/kernel_options.h.
-  kernel::KernelOptions kernel;
 };
 
-/// Reusable solver state for WeightedPowerIteration: the O(n + m) work
-/// buffers plus the lazily built worker pool. One Rank call needs one
-/// scratch; the ensemble runs k snapshot ranks per call and shares a single
-/// scratch across them, so the weight/score buffers, the gather engine and
-/// the pool are allocated once instead of k times. Not thread-safe — never share one
-/// scratch between concurrent solver calls.
+/// TWPR's citation weight w(u, v) = exp(-sigma * max(0, YearGap(t(u), t(v)))),
+/// read from a table indexed by year gap. The table spans the known years
+/// (at most 1024 of them); larger gaps, such as those to an article of
+/// unknown year, call exp directly. Every value equals the direct exp.
+class YearGapWeights {
+ public:
+  /// Table over the gaps 0 .. max - min of the known years in `years`
+  /// (kUnknownYear entries skipped), capped at 1024.
+  YearGapWeights(double sigma, const std::vector<Year>& years);
+
+  double operator()(Year citer, Year cited) const {
+    const int64_t gap = std::max<int64_t>(0, YearGap(citer, cited));
+    return gap < static_cast<int64_t>(table_.size())
+               ? table_[static_cast<size_t>(gap)]
+               : std::exp(-sigma_ * static_cast<double>(gap));
+  }
+
+ private:
+  double sigma_;
+  std::vector<double> table_;
+};
+
+/// Reusable solver state: the per-row buffers plus the lazily built worker
+/// pool. The ensemble ranks k snapshots per call and shares one scratch
+/// across them, so the buffers and the pool are allocated once instead of k
+/// times. Not thread-safe — never share one scratch between concurrent
+/// solver calls.
 class PowerIterationScratch {
  public:
   PowerIterationScratch() = default;
@@ -45,87 +67,64 @@ class PowerIterationScratch {
   /// when workers <= 1 (serial). Rebuilt only when the size changes.
   ThreadPool* PoolFor(size_t workers);
 
-  /// Buffers, exposed for the solver (and the TWPR weight pipeline).
-  std::vector<double> in_weights;   // raw edge weights in in-edge order
-  std::vector<double> row_weight;   // per-source *inverted* weighted degree
-  std::vector<double> contrib;      // per-source gather term, per iteration
-  std::vector<double> next;         // double buffer for the score vector
-  std::vector<double> partial;      // ordered per-chunk reduction terms
-  std::vector<uint8_t> dangling;    // 1 = weighted out-degree is zero
-  std::vector<EdgeId> cursor;       // in-CSR fill cursor for the scatter
-  ViewRowEnds view_rows;            // per-row prefix limits (view solver)
-  kernel::GatherEngine engine;      // the iteration engine, re-Init per solve
+  std::vector<EdgeId> row_end;    // end of each row's kept prefix
+  std::vector<double> row_scale;  // damping / kept row weight; 0 = dangling
+  std::vector<double> acc;        // mass pushed to each row, not yet taken
+  std::vector<double> previous;   // last pass's scores (repeated passes)
+  std::vector<size_t> partial;    // per-chunk upward-reference counts
 
  private:
   std::unique_ptr<ThreadPool> pool_;
   size_t pool_workers_ = 0;
 };
 
-/// Core solver shared by PageRank, TWPR and CiteRank.
+/// The solver of PageRank, TWPR and CiteRank.
 ///
-/// Computes the stationary distribution of the damped random walk
+/// Computes, on a snapshot view, the stationary distribution of the damped
+/// random walk
 ///
-///   s <- d * P^T s + (d * dangling_mass + (1 - d)) * jump
+///   s = d * P^T s + (d * dangling_mass + (1 - d)) * jump
 ///
-/// where row u of P distributes u's score over its references proportionally
-/// to `edge_weights` (aligned with graph.out_neighbors(); pass empty for
-/// uniform weights), and `jump` is a probability vector (pass empty for
-/// uniform). A node whose weighted out-degree is zero is treated as
-/// dangling: its entire score is redistributed through `jump`.
+/// where row u of P spreads u's score over its kept references in
+/// proportion to `weights` (null = uniform), and a row whose weights sum to
+/// zero is dangling. That s is y / sum(y) for y = jump + d * P^T y with the
+/// dangling rows left empty, and in the publication order of TemporalCsr
+/// the system is triangular: one pass u = n-1 ... 0 sets y[u] = jump[u] +
+/// acc[u], then adds d * w(u,v) * y[u] / row_weight(u) into acc[v] for each
+/// kept reference v of u. The scores are y / sum(y), so they sum to 1.
 ///
-/// Parallel execution: the iteration is a pull-based gather over the
-/// in-CSR, executed by the kernel::GatherEngine selected through
-/// `options.kernel` (SIMD level, score precision, weight codebook,
-/// adaptive convergence). Each round stages the per-source term
-/// `contrib[u] = inv_row_weight[u] * scores[u]`, and node v sums
-/// `w_in[p] * contrib[in_neighbor(p)]` over its own in-edges (raw weights
-/// scattered once into in-edge order; no per-edge array at all for uniform
-/// weights) — every write goes to v's slot only: no atomics, no
-/// contention. Results are **bit-identical at any thread count**: each node
-/// reduces its in-edges through the engine's fixed per-row addition tree,
-/// and the dangling mass and L1 residual are per-chunk partial sums over a
-/// thread-count-independent chunk geometry, combined in chunk-index order.
+/// A reference to a larger sorted id (a same-year cycle, a backward
+/// citation, an unknown-year citer) reaches acc[v] after v was set; its mass
+/// waits there for the next pass, which makes repeated passes Gauss–Seidel
+/// sweeps. When the view keeps such references, passes repeat until the L1
+/// change of the normalized scores drops below `options.tolerance`, capped
+/// at `options.max_iterations`. `iterations` counts passes (1 on clean
+/// corpora) and `converged` says whether the tolerance was met.
 ///
-/// Errors: negative edge weights, wrong array sizes, or a `jump` that does
-/// not sum to ~1.
+/// Row weights are taken over the view's kept row prefix, because a
+/// backward citation makes a row depend on the snapshot; they are computed
+/// per row on `options.threads` workers. The pass is serial. So scores are
+/// bit-identical at every thread count, and a view scores bitwise like its
+/// materialized snapshot (whose own TemporalCsr is the identity).
 ///
-/// `initial_scores` (optional, pass empty for the uniform default) seeds the
-/// iteration — e.g. with the scores of a smaller snapshot of the same graph
-/// — which reduces iteration counts without changing the fixed point. It is
-/// L1-renormalized internally; non-positive-mass inputs fall back to
-/// uniform.
-///
-/// `scratch` (optional) supplies reusable buffers and the worker pool; pass
-/// one when calling the solver repeatedly (the ensemble does).
-Result<RankResult> WeightedPowerIteration(
-    const CitationGraph& graph, const std::vector<double>& edge_weights,
-    const std::vector<double>& jump, const PowerIterationOptions& options,
-    const std::vector<double>& initial_scores = {},
-    PowerIterationScratch* scratch = nullptr);
+/// `jump` is view-sized and sums to 1 (empty = uniform). Errors: damping
+/// outside [0, 1), non-positive max_iterations, a wrongly sized, negative
+/// or unnormalized jump. `scratch` (optional) supplies reusable buffers and
+/// the worker pool.
+Result<RankResult> SolveInPublicationOrder(const SnapshotView& view,
+                                           const YearGapWeights* weights,
+                                           const std::vector<double>& jump,
+                                           const PowerIterationOptions& options,
+                                           PowerIterationScratch* scratch =
+                                               nullptr);
 
-/// WeightedPowerIteration on a zero-copy temporal snapshot.
-///
-/// Same fixed point and the same bit-exact arithmetic as running
-/// WeightedPowerIteration on the materialized snapshot (ExtractSnapshot of
-/// the view's sorted parent graph), with no per-snapshot O(m) state: both
-/// paths stage `contrib[u] = inv_row[u] * scores[u]` and gather
-/// `in_edge_weights[p] * contrib[source]` through the same engine
-/// primitives — IEEE arithmetic is deterministic, so the per-row sums are
-/// the very doubles the full-graph path computes. Only an O(V)
-/// inverted-row-weight array and the O(V) row prefix limits are
-/// per-snapshot; the weight arrays are shared, read-only,
-/// full-parent-CSR-sized.
-///
-/// `out_edge_weights` / `in_edge_weights` are the same weights in out-edge
-/// and in-edge order respectively, sized to the *parent* graph's edge count
-/// (both empty = uniform). `jump` and `initial_scores` are view-sized
-/// (view-local node ids).
-Result<RankResult> WeightedPowerIterationOnView(
-    const SnapshotView& view, const std::vector<double>& out_edge_weights,
-    const std::vector<double>& in_edge_weights, const std::vector<double>& jump,
-    const PowerIterationOptions& options,
-    const std::vector<double>& initial_scores = {},
-    PowerIterationScratch* scratch = nullptr);
+/// Runs `solve` on ctx.view, or on the full view of a TemporalCsr over
+/// ctx.graph with the scores mapped back to graph ids. So a full-graph rank
+/// and the rank of its view share one code path. An empty graph or view
+/// ranks to empty scores without calling `solve`.
+Result<RankResult> RankInPublicationOrder(
+    const RankContext& ctx,
+    const std::function<Result<RankResult>(const SnapshotView&)>& solve);
 
 /// Pads a score vector from a smaller prefix-snapshot of a graph up to
 /// `new_num_nodes` (new articles get the mean existing score) — the warm

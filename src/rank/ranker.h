@@ -11,9 +11,8 @@
 
 namespace scholar {
 
-struct PowerIterationScratch;  // rank/pagerank.h
-class SnapshotView;            // graph/temporal_csr.h
-class TwprWeightCache;         // rank/time_weighted_pagerank.h
+class PowerIterationScratch;  // rank/pagerank.h
+class SnapshotView;           // graph/temporal_csr.h
 
 /// Everything a ranker may consume. Exactly one of `graph` and `view` is
 /// mandatory; rankers that need more (FutureRank needs `authors`) return
@@ -36,20 +35,17 @@ struct RankContext {
   /// max_year().
   Year now_year = kUnknownYear;
   /// Optional warm-start hint: a previous score vector for (a supergraph
-  /// of) this graph. Iterative rankers may seed their power iteration from
-  /// it to converge in fewer rounds; it never changes the fixed point.
-  /// Size must equal NumNodes() when present.
+  /// of) this graph. Iterative rankers (hits, katz, sceas) may seed their
+  /// power iteration from it to converge in fewer rounds; it never changes
+  /// the fixed point. The publication-order solver of pagerank, twpr and
+  /// citerank ignores it. Size must equal NumNodes() when present.
   const std::vector<double>* initial_scores = nullptr;
-  /// Optional reusable solver state (buffers + worker pool) for
-  /// power-iteration rankers; the ensemble shares one across its snapshot
-  /// ranks so the O(n + m) solver buffers are allocated once, not k times.
-  /// Never share one scratch between concurrent Rank calls.
+  /// Optional reusable solver state (buffers + worker pool) for the
+  /// linear rankers (pagerank, twpr, citerank); the ensemble shares one
+  /// across its snapshot ranks so the O(n) solver buffers are allocated
+  /// once, not k times. Never share one scratch between concurrent Rank
+  /// calls.
   PowerIterationScratch* scratch = nullptr;
-  /// Optional shared cache of TWPR's exponential-decay edge weights on the
-  /// view's parent graph (they depend only on year gaps, so they are
-  /// invariant across snapshots). Thread-safe; the ensemble shares one
-  /// across all snapshot ranks. Only consulted when ranking a view.
-  TwprWeightCache* twpr_cache = nullptr;
 
   /// Node count of whichever of graph/view is set (0 when neither is).
   size_t NumNodes() const;
@@ -67,7 +63,8 @@ struct RankResult {
   /// Importance score per node; higher is more important. For random-walk
   /// rankers the scores form a probability distribution (sum to 1).
   std::vector<double> scores;
-  /// Power-iteration rounds used; 0 for closed-form rankers.
+  /// Power-iteration rounds or solver passes used; 0 for closed-form
+  /// rankers.
   int iterations = 0;
   /// L1 change of the final iteration; 0 for closed-form rankers.
   double final_residual = 0.0;

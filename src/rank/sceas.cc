@@ -74,7 +74,7 @@ Result<RankResult> SceasRanker::RankImpl(const RankContext& ctx) const {
                              (options_.a * static_cast<double>(degree));
       }
     });
-    const double* gathered = engine.Gather(share.data(), nullptr);
+    const double* gathered = engine.Gather(share.data());
     ParallelForChunks(pool, n, kNodeGrain,
                       [&](size_t chunk, size_t begin, size_t end) {
       double residual_part = 0.0;

@@ -29,8 +29,8 @@ struct SceasOptions {
   /// Worker threads for the gather passes: 0 = hardware concurrency,
   /// 1 = serial. Bit-identical results at every setting.
   int threads = 0;
-  /// Iteration-engine variant knobs (SIMD / precision / weight codebook /
-  /// adaptive convergence); see rank/kernel/kernel_options.h.
+  /// Iteration-engine variant knobs (SIMD / precision / adaptive
+  /// convergence); see rank/kernel/kernel_options.h.
   kernel::KernelOptions kernel;
 };
 

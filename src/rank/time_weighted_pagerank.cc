@@ -5,7 +5,6 @@
 #include <string>
 
 #include "graph/temporal_csr.h"
-#include "util/logging.h"
 #include "util/parallel_for.h"
 
 namespace scholar {
@@ -23,17 +22,14 @@ TimeWeightedPageRank::TimeWeightedPageRank(TwprOptions options)
 
 std::vector<double> TimeWeightedPageRank::ComputeEdgeWeights(
     const CitationGraph& graph, double sigma, ThreadPool* pool) {
+  const YearGapWeights w(sigma, graph.years());
   std::vector<double> weights(graph.num_edges());
   ParallelFor(pool, graph.num_nodes(), kNodeGrain,
               [&](size_t begin, size_t end) {
     for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-      const Year tu = graph.year(u);
-      const EdgeId first = graph.out_offsets()[u];
-      const EdgeId last = graph.out_offsets()[u + 1];
-      for (EdgeId e = first; e < last; ++e) {
-        const Year tv = graph.year(graph.out_neighbors()[e]);
-        const double gap = std::max<int64_t>(0, YearGap(tu, tv));
-        weights[e] = std::exp(-sigma * gap);
+      for (EdgeId e = graph.out_offsets()[u]; e < graph.out_offsets()[u + 1];
+           ++e) {
+        weights[e] = w(graph.year(u), graph.year(graph.out_neighbors()[e]));
       }
     }
   });
@@ -42,17 +38,14 @@ std::vector<double> TimeWeightedPageRank::ComputeEdgeWeights(
 
 std::vector<double> TimeWeightedPageRank::ComputeInEdgeWeights(
     const CitationGraph& graph, double sigma, ThreadPool* pool) {
+  const YearGapWeights w(sigma, graph.years());
   std::vector<double> weights(graph.num_edges());
   ParallelFor(pool, graph.num_nodes(), kNodeGrain,
               [&](size_t begin, size_t end) {
     for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
-      const Year tv = graph.year(v);
-      const EdgeId first = graph.in_offsets()[v];
-      const EdgeId last = graph.in_offsets()[v + 1];
-      for (EdgeId p = first; p < last; ++p) {
-        const Year tu = graph.year(graph.in_neighbors()[p]);
-        const double gap = std::max<int64_t>(0, YearGap(tu, tv));
-        weights[p] = std::exp(-sigma * gap);
+      for (EdgeId p = graph.in_offsets()[v]; p < graph.in_offsets()[v + 1];
+           ++p) {
+        weights[p] = w(graph.year(graph.in_neighbors()[p]), graph.year(v));
       }
     }
   });
@@ -93,24 +86,6 @@ std::vector<double> TimeWeightedPageRank::ComputeRecencyJump(
   return jump;
 }
 
-const TwprWeightCache::Weights& TwprWeightCache::GetOrCompute(
-    const CitationGraph& graph, double sigma, ThreadPool* pool) {
-  MutexLock lock(mu_);
-  if (!ready_) {
-    weights_.out_order =
-        TimeWeightedPageRank::ComputeEdgeWeights(graph, sigma, pool);
-    weights_.in_order =
-        TimeWeightedPageRank::ComputeInEdgeWeights(graph, sigma, pool);
-    graph_ = &graph;
-    sigma_ = sigma;
-    ready_ = true;
-  } else {
-    // One cache serves one (graph, sigma) pair.
-    SCHOLAR_CHECK(graph_ == &graph && sigma_ == sigma);  // NOLINT(float-compare): callers pass the same double every call
-  }
-  return weights_;
-}
-
 Result<RankResult> TimeWeightedPageRank::RankImpl(const RankContext& ctx) const {
   SCHOLAR_RETURN_NOT_OK(ValidateContext(ctx, /*requires_authors=*/false));
   if (options_.sigma < 0.0) {
@@ -121,46 +96,23 @@ Result<RankResult> TimeWeightedPageRank::RankImpl(const RankContext& ctx) const 
     return Status::InvalidArgument("rho must be >= 0, got " +
                                    std::to_string(options_.rho));
   }
-  const PowerIterationOptions& power = options_.power;
-
-  // The weight pipeline and the solver share one scratch (and therefore
-  // one worker pool): either the caller's or a call-local one.
+  // The jump and the solver share one scratch (and therefore one worker
+  // pool): either the caller's or a call-local one.
   PowerIterationScratch local_scratch;
   PowerIterationScratch* scratch =
       ctx.scratch != nullptr ? ctx.scratch : &local_scratch;
-  ThreadPool* pool = scratch->PoolFor(ResolveThreads(power.threads));
-  const std::vector<double> no_initial;
-  const std::vector<double>& initial =
-      ctx.initial_scores != nullptr ? *ctx.initial_scores : no_initial;
-
-  if (ctx.view != nullptr) {
-    const SnapshotView& view = *ctx.view;
-    if (view.num_nodes() == 0) return RankResult{};
-    // Decay weights depend only on year gaps, so the full-parent arrays are
-    // valid for every snapshot: fetch them from the shared cache (computed
-    // at most once per ensemble) or compute locally for a one-off call.
-    TwprWeightCache local_cache;
-    TwprWeightCache& cache =
-        ctx.twpr_cache != nullptr ? *ctx.twpr_cache : local_cache;
-    const TwprWeightCache::Weights& weights = cache.GetOrCompute(
-        view.temporal_csr()->sorted_graph(), options_.sigma, pool);
+  ThreadPool* pool = scratch->PoolFor(ResolveThreads(options_.power.threads));
+  return RankInPublicationOrder(ctx, [&](const SnapshotView& view) {
+    const YearGapWeights weights(options_.sigma,
+                                 view.temporal_csr()->sorted_graph().years());
     std::vector<double> jump;
     if (options_.recency_jump) {
       jump = ComputeRecencyJump(view.parent_years().data(), view.num_nodes(),
                                 options_.rho, ctx.EffectiveNow(), pool);
     }
-    return WeightedPowerIterationOnView(view, weights.out_order,
-                                        weights.in_order, jump, power, initial,
-                                        scratch);
-  }
-
-  const CitationGraph& g = *ctx.graph;
-  std::vector<double> weights = ComputeEdgeWeights(g, options_.sigma, pool);
-  std::vector<double> jump;
-  if (options_.recency_jump && g.num_nodes() > 0) {
-    jump = ComputeRecencyJump(g, options_.rho, ctx.EffectiveNow(), pool);
-  }
-  return WeightedPowerIteration(g, weights, jump, power, initial, scratch);
+    return SolveInPublicationOrder(view, &weights, jump, options_.power,
+                                   scratch);
+  });
 }
 
 }  // namespace scholar

@@ -6,7 +6,6 @@
 
 #include "rank/pagerank.h"
 #include "rank/ranker.h"
-#include "util/mutex.h"
 
 namespace scholar {
 
@@ -36,7 +35,8 @@ struct TwprOptions {
 /// fresher, stronger endorsement. TWPR therefore splits u's score over its
 /// references proportionally to exp(-sigma * gap(u, v)) where
 /// gap = max(0, t(u) - t(v)). Backward (time-travel) citations found in
-/// dirty data are treated as gap 0.
+/// dirty data are treated as gap 0. The weights come from a YearGapWeights
+/// table, and the system is solved by SolveInPublicationOrder.
 class TimeWeightedPageRank : public Ranker {
  public:
   explicit TimeWeightedPageRank(TwprOptions options = {});
@@ -47,16 +47,15 @@ class TimeWeightedPageRank : public Ranker {
   const TwprOptions& options() const { return options_; }
 
   /// Exposed for tests and the ablation bench: per-edge weights aligned
-  /// with graph.out_neighbors(). `pool` (optional) parallelizes the edge
-  /// sweep; the result is bit-identical with and without it.
+  /// with graph.out_neighbors(), read from the graph's YearGapWeights
+  /// table. `pool` (optional) parallelizes the edge sweep; the result is
+  /// bit-identical with and without it.
   static std::vector<double> ComputeEdgeWeights(const CitationGraph& graph,
                                                 double sigma,
                                                 ThreadPool* pool = nullptr);
 
   /// Same weights in *in-edge* order (aligned with graph.in_neighbors()):
-  /// entry p is exp(-sigma * gap(citer, row owner)). The view solver's
-  /// pull-gather consumes this order directly, so no per-snapshot scatter
-  /// pass is needed.
+  /// entry p is exp(-sigma * gap(citer, row owner)).
   static std::vector<double> ComputeInEdgeWeights(const CitationGraph& graph,
                                                   double sigma,
                                                   ThreadPool* pool = nullptr);
@@ -79,36 +78,6 @@ class TimeWeightedPageRank : public Ranker {
 
  private:
   TwprOptions options_;
-};
-
-/// Compute-once, share-everywhere store for TWPR's exponential-decay edge
-/// weights on one (graph, sigma) pair. The weights depend only on the year
-/// gap across each edge, so they are invariant across temporal snapshots of
-/// the graph — the ensemble computes them once on the full sorted parent and
-/// every per-snapshot rank reuses them read-only through the view solver.
-///
-/// Thread-safe: the first caller computes under the lock, concurrent callers
-/// block and then share the result. All callers must pass the same graph and
-/// sigma for the lifetime of the cache (checked).
-class TwprWeightCache {
- public:
-  struct Weights {
-    std::vector<double> out_order;  // aligned with graph.out_neighbors()
-    std::vector<double> in_order;   // aligned with graph.in_neighbors()
-  };
-
-  /// Returns the weights of `graph` at `sigma`, computing them on the first
-  /// call (`pool`, optional, parallelizes only that computation). The
-  /// returned reference is valid and immutable for the cache's lifetime.
-  const Weights& GetOrCompute(const CitationGraph& graph, double sigma,
-                              ThreadPool* pool = nullptr);
-
- private:
-  Mutex mu_;
-  bool ready_ GUARDED_BY(mu_) = false;
-  const CitationGraph* graph_ GUARDED_BY(mu_) = nullptr;
-  double sigma_ GUARDED_BY(mu_) = 0.0;
-  Weights weights_ GUARDED_BY(mu_);
 };
 
 }  // namespace scholar

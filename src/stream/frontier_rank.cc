@@ -132,7 +132,7 @@ Result<RankResult> FrontierPowerIteration(const GraphAccess& g,
     // Gather over the awake rows only (the engine re-gathers exactly the
     // rows some moved source feeds and returns its persistent buffer).
     refresh_share();
-    const double* gathered = engine.Gather(share.data(), nullptr);
+    const double* gathered = engine.Gather(share.data());
     const uint8_t* stale = engine.last_stale();
 
     // Commit the re-gathered slots; frozen rows keep their score

@@ -27,7 +27,7 @@ struct FrontierOptions {
   /// every setting (fixed chunk geometry, ordered reductions, serial
   /// frontier propagation).
   int threads = 0;
-  /// Iteration-engine variant knobs (SIMD / precision / weight codebook); the
+  /// Iteration-engine variant knobs (SIMD / precision); the
   /// engine's adaptive mode is always on here — it IS the frontier — with
   /// frontier_tolerance as its per-source freeze threshold, so the
   /// `adaptive`/`adaptive_tolerance` fields of this struct are ignored.
@@ -42,8 +42,8 @@ struct FrontierOptions {
 /// function is its streaming face): a source whose pull term moved by more
 /// than frontier_tolerance since it was last observed wakes the rows it
 /// feeds; every other row keeps its stored gather, and its score slot is
-/// frozen bit-exactly. All other engine knobs (SIMD, precision, weight
-/// codebook) compose with the frontier through options.kernel.
+/// frozen bit-exactly. The other engine knobs (SIMD, precision) compose
+/// with the frontier through options.kernel.
 ///
 /// `seed` is the previous score vector extended to the grown graph (it is
 /// L1-renormalized internally); `dirty` lists the nodes whose adjacency

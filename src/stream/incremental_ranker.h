@@ -26,6 +26,8 @@ struct IncrementalRankerOptions {
   /// "full": every epoch runs the kernel over the whole graph, warm-seeded
   /// from the previous scores — the fixed point is exact (identical to a
   /// cold rank up to the solver tolerance), only the round count shrinks.
+  /// pagerank and twpr ignore the seed: each epoch is one exact
+  /// publication-order pass, bit-identical to a cold rank.
   /// "frontier": active-set PageRank (pagerank only) that re-gathers just
   /// the subgraph the update can still move — cheapest, with the bounded
   /// drift documented on FrontierPowerIteration.

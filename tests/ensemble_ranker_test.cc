@@ -345,7 +345,7 @@ TEST(UnknownYearTest, EveryRankerAndEnsembleRanksAnUnknownYear) {
   ctx.venues = &venues;
 
   const std::vector<std::string> bases = {
-      "cc",   "age_cc", "pagerank",  "pagerank_gs", "pagerank_mc", "hits",
+      "cc",   "age_cc", "pagerank",  "pagerank_mc", "hits",
       "katz", "sceas",  "venuerank", "citerank",    "futurerank",  "twpr"};
   std::vector<std::pair<std::string, Config>> runs;
   for (const std::string& base : bases) {

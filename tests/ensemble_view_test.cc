@@ -47,7 +47,6 @@ class MaterializingRanker : public Ranker {
                                           view.boundary_year());
     RankContext sub = ctx;
     sub.view = nullptr;
-    sub.twpr_cache = nullptr;
     sub.graph = &snap.graph;
     PaperAuthors authors;
     if (ctx.authors != nullptr) {
@@ -200,7 +199,7 @@ TEST(EnsembleViewTest, MatchesMaterializedForEveryViewCapableBase) {
       }
     }
   }
-  EXPECT_EQ(bases, 12u);
+  EXPECT_EQ(bases, 11u);
 }
 
 TEST(EnsembleViewTest, MatchesMaterializedAcrossScopesCombinersAndWindow) {

@@ -1,15 +1,11 @@
 // Property suite for the iteration engine (src/rank/kernel/).
 //
 // The engine's contracts, checked across every kernel that gathers
-// through it (pagerank, twpr, katz, sceas, hits) and across thread
-// counts {1, 2, 4, 8}:
+// through it (katz, sceas, hits) and across thread counts {1, 2, 4, 8}:
 //
 //   * scalar vs SIMD (double): bit-identical — both reduce each row
 //     through the same lane-striped addition tree;
 //   * float score mirror: <= 1e-6 absolute drift vs the double path;
-//   * weight codebook: byte codes into a table of the original weight
-//     values, bit-identical to the raw weight stream, with a silent
-//     fallback past 256 distinct values;
 //   * adaptive convergence: final scores within tolerance of the
 //     fixed-sweep reference.
 
@@ -23,8 +19,6 @@
 
 #include <gtest/gtest.h>
 #include "core/registry.h"
-#include "graph/graph_access.h"
-#include "rank/kernel/gather_engine.h"
 #include "rank/kernel/simd.h"
 #include "test_util.h"
 #include "util/config.h"
@@ -35,8 +29,7 @@ namespace {
 using testing_util::MakeRandomGraph;
 using testing_util::MakeTinyGraph;
 
-constexpr const char* kEngineKernels[] = {"pagerank", "twpr", "katz",
-                                          "sceas", "hits"};
+constexpr const char* kEngineKernels[] = {"katz", "sceas", "hits"};
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 Config KernelConfig(const std::string& simd, const std::string& precision,
@@ -133,102 +126,6 @@ TEST(KernelFloatDriftTest, FloatScoresWithinBound) {
   }
 }
 
-// --- weight codebook ----------------------------------------------------
-
-TEST(KernelCodebookTest, CodebookBitIdenticalAcrossKernelsAndThreads) {
-  // The table round-trips the exact weight bits, so every kernel —
-  // including the unweighted ones, where the knob is a no-op — must
-  // reproduce the raw-weight scores bit for bit.
-  const CitationGraph g = TestGraph();
-  for (const char* kernel : kEngineKernels) {
-    const std::vector<double> oracle =
-        RunKernel(kernel, g, KernelConfig("scalar", "double", false, 1));
-    for (const std::string& simd : {std::string("scalar"), std::string("auto")}) {
-      for (int threads : {1, 4}) {
-        Config config = KernelConfig(simd, "double", false, threads);
-        config.SetBool("weight_codebook", true);
-        const std::vector<double> scores = RunKernel(kernel, g, config);
-        ExpectBitIdentical(scores, oracle,
-                           std::string(kernel) + " weight_codebook simd=" +
-                               simd + " threads=" + std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(KernelCodebookTest, CodebookFloatMatchesFloatMirror) {
-  // In float mode the table stores float(weight) — the same value the
-  // raw path's mirror holds — so codebook-f32 is bit-identical to
-  // plain-f32, not merely within the 1e-6 drift bound.
-  const CitationGraph g = TestGraph();
-  for (const char* kernel : kEngineKernels) {
-    const std::vector<double> plain_f32 =
-        RunKernel(kernel, g, KernelConfig("auto", "float", false, 2));
-    Config config = KernelConfig("auto", "float", false, 2);
-    config.SetBool("weight_codebook", true);
-    const std::vector<double> coded_f32 = RunKernel(kernel, g, config);
-    ExpectBitIdentical(coded_f32, plain_f32,
-                       std::string(kernel) + " codebook f32");
-  }
-}
-
-TEST(KernelCodebookTest, EngineBuildsTableAndFallsBackPast256) {
-  const CitationGraph g = TestGraph();
-  const GraphAccess a = AccessOf(g);
-  const size_t num_edges = g.num_edges();
-  ASSERT_GT(num_edges, 256u);
-
-  std::vector<double> contrib(a.num_nodes);
-  for (size_t u = 0; u < a.num_nodes; ++u) {
-    contrib[u] = 1.0 / static_cast<double>(u + 1);
-  }
-
-  kernel::KernelOptions raw_opts;
-  kernel::GatherEngine raw_engine;
-  ASSERT_TRUE(raw_engine
-                  .Init(a, kernel::GatherDirection::kInEdges, raw_opts,
-                        /*pool=*/nullptr)
-                  .ok());
-  kernel::KernelOptions coded_opts;
-  coded_opts.weight_codebook = true;
-  kernel::GatherEngine coded_engine;
-  ASSERT_TRUE(coded_engine
-                  .Init(a, kernel::GatherDirection::kInEdges, coded_opts,
-                        /*pool=*/nullptr)
-                  .ok());
-
-  // A small distinct-value set (7 values, TWPR-shaped): codebook engages.
-  std::vector<double> few(num_edges);
-  for (size_t e = 0; e < num_edges; ++e) {
-    few[e] = std::exp(-0.3 * static_cast<double>(e % 7));
-  }
-  {
-    const double* want = raw_engine.Gather(contrib.data(), few.data());
-    const double* got = coded_engine.Gather(contrib.data(), few.data());
-    EXPECT_TRUE(coded_engine.codebook_active());
-    EXPECT_EQ(coded_engine.codebook_entries(), 7u);
-    for (size_t v = 0; v < a.num_nodes; ++v) {
-      ASSERT_EQ(got[v], want[v]) << "codebook row " << v;
-    }
-  }
-
-  // All-distinct weights: the build declines and the sweep falls back to
-  // the raw stream, still bit-identical.
-  std::vector<double> many(num_edges);
-  for (size_t e = 0; e < num_edges; ++e) {
-    many[e] = 1.0 + static_cast<double>(e) * 1e-9;
-  }
-  {
-    const double* want = raw_engine.Gather(contrib.data(), many.data());
-    const double* got = coded_engine.Gather(contrib.data(), many.data());
-    EXPECT_FALSE(coded_engine.codebook_active());
-    EXPECT_EQ(coded_engine.codebook_entries(), 0u);
-    for (size_t v = 0; v < a.num_nodes; ++v) {
-      ASSERT_EQ(got[v], want[v]) << "fallback row " << v;
-    }
-  }
-}
-
 // --- adaptive convergence -----------------------------------------------
 
 TEST(KernelAdaptiveTest, AdaptiveMatchesFixedAcrossKernelsAndThreads) {
@@ -287,14 +184,12 @@ TEST(KernelOptionsTest, ParsesEverySpelling) {
   Config config;
   config.Set("simd", "avx2");
   config.Set("score_precision", "f32");
-  config.SetBool("weight_codebook", true);
   config.SetBool("adaptive", true);
   config.SetDouble("adaptive_tolerance", 1e-10);
   const kernel::KernelOptions opts =
       kernel::KernelOptionsFromConfig(config).value();
   EXPECT_EQ(opts.simd, kernel::SimdMode::kAvx2);
   EXPECT_EQ(opts.precision, kernel::ScorePrecision::kFloat);
-  EXPECT_TRUE(opts.weight_codebook);
   EXPECT_TRUE(opts.adaptive);
   EXPECT_DOUBLE_EQ(opts.adaptive_tolerance, 1e-10);
 
@@ -307,7 +202,6 @@ TEST(KernelOptionsTest, ParsesEverySpelling) {
       kernel::KernelOptionsFromConfig(Config()).value();
   EXPECT_EQ(defaults.simd, kernel::SimdMode::kAuto);
   EXPECT_EQ(defaults.precision, kernel::ScorePrecision::kDouble);
-  EXPECT_FALSE(defaults.weight_codebook);
   EXPECT_FALSE(defaults.adaptive);
 }
 
@@ -350,7 +244,7 @@ TEST(KernelOptionsTest, RegistryPropagatesBadKernelKeys) {
 TEST(KernelSimdTest, ExplicitAvx2MatchesHostCapability) {
   const CitationGraph g = MakeTinyGraph();
   auto ranker =
-      MakeRanker("pagerank", KernelConfig("avx2", "double", false, 1))
+      MakeRanker("katz", KernelConfig("avx2", "double", false, 1))
           .value();
   const auto result = ranker->Rank(g);
   if (kernel::DetectSimdLevel() == kernel::SimdLevel::kAvx2) {

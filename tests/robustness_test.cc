@@ -9,7 +9,8 @@
 #include "eval/metrics.h"
 #include "graph/graph_io.h"
 #include "graph/time_slicer.h"
-#include "rank/gauss_seidel.h"
+#include "power_iteration_oracle.h"
+#include "rank/pagerank.h"
 #include "rank/time_weighted_pagerank.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -138,16 +139,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TauCrossCheck,
 class SolverCrossCheck : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SolverCrossCheck, PowerIterationAndGaussSeidelAgree) {
+  // The publication-order solver (one pass here, Gauss–Seidel passes on
+  // dirty graphs) against the power-iteration oracle.
   CitationGraph g = MakeRandomGraph(250, 4.0, 1985, 15, GetParam());
-  std::vector<double> weights =
-      TimeWeightedPageRank::ComputeEdgeWeights(g, 0.3);
-  PowerIterationOptions o;
-  o.tolerance = 1e-12;
-  RankResult power = WeightedPowerIteration(g, weights, {}, o).value();
-  RankResult gs = GaussSeidelPageRank(g, weights, {}, o).value();
-  for (size_t i = 0; i < power.scores.size(); ++i) {
-    EXPECT_NEAR(power.scores[i], gs.scores[i], 1e-8);
-  }
+  TwprOptions o;
+  o.sigma = 0.3;
+  RankResult gs = TimeWeightedPageRank(o).Rank(g).value();
+  RankResult power = oracle::PowerIteration(g, oracle::TwprWeights(g, 0.3),
+                                            {}, 0.85, 1e-15, 5000);
+  EXPECT_LE(oracle::L1(gs.scores, power.scores), 1e-11);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverCrossCheck,
@@ -197,10 +197,8 @@ TEST(RankerInvarianceTest, DuplicatedGraphHalvesScores) {
   }
   CitationGraph doubled = std::move(builder).Build().value();
 
-  PowerIterationOptions o;
-  o.tolerance = 1e-13;
-  RankResult single = WeightedPowerIteration(g, {}, {}, o).value();
-  RankResult both = WeightedPowerIteration(doubled, {}, {}, o).value();
+  RankResult single = PageRankRanker().Rank(g).value();
+  RankResult both = PageRankRanker().Rank(doubled).value();
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(both.scores[u], single.scores[u] / 2.0, 1e-9);
     EXPECT_NEAR(both.scores[u + offset], single.scores[u] / 2.0, 1e-9);

@@ -59,6 +59,21 @@ AnalyzeRun RunAnalyzeArgs(const std::vector<std::string>& args) {
   return run;
 }
 
+/// The analyzer's output without its `scholar_analyze: timing ...` stderr
+/// line, whose wall-clock figures differ from run to run. Every finding is
+/// kept byte for byte.
+std::string WithoutTiming(const std::string& output) {
+  std::string cleaned;
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("scholar_analyze: timing ") == std::string::npos) {
+      cleaned += line + "\n";
+    }
+  }
+  return cleaned;
+}
+
 AnalyzeRun RunAnalyze(const std::vector<std::string>& fixtures) {
   std::vector<std::string> args;
   for (const std::string& f : fixtures) args.push_back(Fixture(f));
@@ -445,7 +460,7 @@ TEST(ScholarAnalyzeTest, CacheRoundTripIsFindingStable) {
   AnalyzeRun warm = RunAnalyzeArgs(args);
   EXPECT_EQ(warm.exit_code, 1) << warm.output;
   // Bit-identical diagnostics whether findings come from rules or cache.
-  EXPECT_EQ(cold.output, warm.output);
+  EXPECT_EQ(WithoutTiming(cold.output), WithoutTiming(warm.output));
   std::remove(cache.c_str());
 }
 
@@ -662,7 +677,7 @@ TEST(ScholarAnalyzeTest, StaleNolintSurvivesWarmCache) {
       << cold.output;
   AnalyzeRun warm = RunAnalyzeArgs(args);
   EXPECT_EQ(warm.exit_code, 1) << warm.output;
-  EXPECT_EQ(cold.output, warm.output);
+  EXPECT_EQ(WithoutTiming(cold.output), WithoutTiming(warm.output));
   std::remove(cache.c_str());
 }
 
@@ -953,16 +968,7 @@ TEST(ScholarAnalyzeTest, JobsProduceByteIdenticalOutput) {
     args.insert(args.end(), targets.begin(), targets.end());
     AnalyzeRun run = RunAnalyzeArgs(args);
     EXPECT_EQ(run.exit_code, 1) << run.output;
-    // Timing goes to stderr and depends on the run; strip those lines
-    // before comparing the merged capture.
-    std::string cleaned;
-    std::istringstream lines(run.output);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.find("scholar_analyze: timing ") == std::string::npos) {
-        cleaned += line + "\n";
-      }
-    }
+    const std::string cleaned = WithoutTiming(run.output);
     const std::string text = ReadAll(sarif);
     if (serial_sarif.empty()) {
       serial_sarif = text;

@@ -34,6 +34,22 @@ TEST(TwprTest, BackwardTimeEdgesGetWeightOne) {
   EXPECT_DOUBLE_EQ(w[0], 1.0);
 }
 
+TEST(TwprTest, GapTableEqualsDirectExp) {
+  // Gaps inside the table, a corrupt far year beyond the table's cap, and
+  // citations to and from an unknown year: every weight is the very double
+  // exp(-sigma * max(0, gap)) gives.
+  const std::vector<Year> years = {1990, 2003, 2010, 5000, kUnknownYear};
+  const YearGapWeights table(0.3, years);
+  for (Year citer : years) {
+    for (Year cited : years) {
+      const double gap =
+          static_cast<double>(std::max<int64_t>(0, YearGap(citer, cited)));
+      EXPECT_EQ(table(citer, cited), std::exp(-0.3 * gap))
+          << citer << " cites " << cited;
+    }
+  }
+}
+
 TEST(TwprTest, SigmaZeroEqualsClassicPageRank) {
   CitationGraph g = MakeRandomGraph(300, 4, 1985, 20, 3);
   TwprOptions o;

@@ -5,7 +5,7 @@
 //
 // Scope: src/rank/kernel/**, src/rank/*.cc, src/stream/frontier_rank.cc.
 // Exemptions: loops (or whole functions) under an `// analyze:init-scope`
-// marker — codebook construction, CSR building and similar init-phase
+// marker — CSR building and similar init-phase
 // work allocates by design; and return/throw statements, which are cold
 // error paths (building an error message there is fine).
 
