@@ -1,22 +1,19 @@
 /// Streaming freshness — how long a newly arrived citation batch takes to
-/// become servable (ingest + warm re-rank + snapshot publish), as a
-/// function of batch size, for both warm modes. Written to
-/// BENCH_stream_freshness.json so the freshness trajectory is tracked
-/// in-repo.
+/// become servable (ingest + re-rank + snapshot publish), as a function of
+/// batch size. Written to BENCH_stream_freshness.json so the freshness
+/// trajectory is tracked in-repo.
 ///
 /// The replay splits an AMiner-profile corpus into a 50% base graph plus
 /// year-ordered suffix batches of a fixed node count, then runs the epoch
 /// loop exactly as `scholar_cli stream` does: StreamingGraph::Ingest,
-/// IncrementalRanker::RankWarm (seeded from the previous epoch),
-/// ScoreSnapshot::Build + SnapshotManager::Install. Freshness is the
-/// wall-clock sum of those three stages for one epoch. The cold-rank
-/// baseline (what a naive rebuild-per-batch deployment would pay) and the
-/// end-of-replay drift against a cold oracle are recorded alongside. In
-/// mode=full pagerank ranks each epoch with one exact publication-order
-/// pass, so its drift is 0.
+/// IncrementalRanker::RankWarm, ScoreSnapshot::Build +
+/// SnapshotManager::Install. Freshness is the wall-clock sum of those
+/// three stages for one epoch. The cold-rank baseline (what a naive
+/// rebuild-per-batch deployment would pay) and the end-of-replay drift
+/// against a cold oracle are recorded alongside. pagerank ranks each epoch
+/// with one exact publication-order pass, so its drift is 0.
 #include <cmath>
 #include <cstdio>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,7 +33,6 @@ using namespace scholar::bench;
 namespace {
 
 struct Row {
-  std::string mode;
   size_t batch_nodes = 0;
   size_t epochs = 0;
   size_t final_nodes = 0;
@@ -92,19 +88,13 @@ Replay PlanReplay(const CitationGraph& graph, size_t n_base,
   return replay;
 }
 
-Row RunReplay(const CitationGraph& graph, size_t batch_nodes,
-              const std::string& mode) {
+Row RunReplay(const CitationGraph& graph, size_t batch_nodes) {
   Row row;
-  row.mode = mode;
   row.batch_nodes = batch_nodes;
   Replay replay = PlanReplay(graph, graph.num_nodes() / 2, batch_nodes);
 
   stream::IncrementalRankerOptions options;
   options.ranker = "pagerank";
-  options.mode = mode;
-  // At the default 1e-12 the frontier barely freezes anyone; 1e-9 is the
-  // interesting operating point — the drift column shows what it costs.
-  options.frontier_tolerance = 1e-9;
   auto ranker = stream::IncrementalRanker::Create(options).value();
   stream::StreamingGraph streaming(std::move(replay.base));
   serve::SnapshotManager manager;
@@ -174,13 +164,13 @@ void WriteJson(const std::vector<Row>& rows, const char* path) {
     const Row& r = rows[i];
     std::fprintf(
         f,
-        "    {\"mode\": \"%s\", \"batch_nodes\": %zu, \"epochs\": %zu, "
+        "    {\"batch_nodes\": %zu, \"epochs\": %zu, "
         "\"final_nodes\": %zu, \"final_edges\": %zu, "
         "\"mean_freshness_ms\": %.3f, \"max_freshness_ms\": %.3f, "
         "\"mean_rank_ms\": %.3f, \"cold_rank_ms\": %.3f, "
         "\"warm_iterations_total\": %d, \"cold_iterations\": %d, "
         "\"max_abs_drift\": %.3e}%s\n",
-        r.mode.c_str(), r.batch_nodes, r.epochs, r.final_nodes, r.final_edges,
+        r.batch_nodes, r.epochs, r.final_nodes, r.final_edges,
         r.mean_freshness_ms, r.max_freshness_ms, r.mean_rank_ms,
         r.cold_rank_ms, r.warm_iterations_total, r.cold_iterations,
         r.max_abs_drift, i + 1 < rows.size() ? "," : "");
@@ -206,20 +196,16 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   std::printf(
-      "mode      batch_nodes  epochs  mean_ms  max_ms  rank_ms  cold_ms  "
-      "warm_it  cold_it  drift\n");
-  for (const std::string& mode : {std::string("full"),
-                                  std::string("frontier")}) {
-    for (size_t batch_nodes : batch_sizes) {
-      Row row = RunReplay(corpus.graph, batch_nodes, mode);
-      std::printf(
-          "%-9s %11zu %7zu %8.2f %7.2f %8.2f %8.2f %8d %8d  %.2e\n",
-          row.mode.c_str(), row.batch_nodes, row.epochs,
-          row.mean_freshness_ms, row.max_freshness_ms, row.mean_rank_ms,
-          row.cold_rank_ms, row.warm_iterations_total, row.cold_iterations,
-          row.max_abs_drift);
-      rows.push_back(std::move(row));
-    }
+      "batch_nodes  epochs  mean_ms  max_ms  rank_ms  cold_ms  warm_it  "
+      "cold_it  drift\n");
+  for (size_t batch_nodes : batch_sizes) {
+    Row row = RunReplay(corpus.graph, batch_nodes);
+    std::printf("%11zu %7zu %8.2f %7.2f %8.2f %8.2f %8d %8d  %.2e\n",
+                row.batch_nodes, row.epochs, row.mean_freshness_ms,
+                row.max_freshness_ms, row.mean_rank_ms, row.cold_rank_ms,
+                row.warm_iterations_total, row.cold_iterations,
+                row.max_abs_drift);
+    rows.push_back(std::move(row));
   }
   WriteJson(rows, "BENCH_stream_freshness.json");
   return 0;

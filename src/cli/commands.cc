@@ -329,8 +329,6 @@ Status RunStream(const Config& config, std::ostream* out) {
   ranker_options.ranker = config.GetStringOr("ranker", "pagerank");
   ranker_options.config = config;
   ranker_options.mode = config.GetStringOr("mode", "full");
-  ranker_options.frontier_tolerance =
-      config.GetDoubleOr("frontier_tolerance", 1e-12);
   SCHOLAR_ASSIGN_OR_RETURN(
       stream::IncrementalRanker ranker,
       stream::IncrementalRanker::Create(ranker_options));
@@ -534,8 +532,9 @@ std::string UsageText() {
          "             corpus inputs + ranker keys + out_snapshot=<path>\n"
          "             [snapshot_id=<id>]\n"
          "  stream     replay a corpus as an ingest stream: apply batches,\n"
-         "             warm re-rank, republish; base_fraction=<f> batches=<b>\n"
-         "             ranker=<name> mode=full|frontier [frontier_tolerance=]\n"
+         "             re-rank the grown graph (linear rankers: one exact\n"
+         "             pass; hits: seeded from the last epoch), republish;\n"
+         "             base_fraction=<f> batches=<b> ranker=<name>\n"
          "             [out_batches=<path>] [port=<p|0>] [oracle=true|false]\n"
          "  serve      serve a snapshot over line-protocol TCP (N epoll\n"
          "             workers, one SO_REUSEPORT listener + engine replica\n"

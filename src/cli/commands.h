@@ -48,11 +48,12 @@ Status RunSnapshot(const Config& config, std::ostream* out);
 
 /// `stream`: replay a corpus as a live ingest stream — split it into a
 /// base graph plus year-ordered EdgeBatches, then run the epoch loop
-/// (apply batch, warm re-rank, republish through SnapshotManager).
+/// (apply batch, re-rank the grown graph, republish through
+/// SnapshotManager).
 /// Keys: corpus inputs (see LoadCorpus), base_fraction=<f> (default 0.5),
-/// batches=<b> (default 4), ranker=<name> (default pagerank),
-/// mode=full|frontier, frontier_tolerance=<t>, out_batches=<path> (write
-/// the generated wire-format stream), port=<p|0> (serve live during the
+/// batches=<b> (default 4), ranker=<name> (default pagerank), mode=<m>
+/// (only "full"; anything else fails), out_batches=<path> (write the
+/// generated wire-format stream), port=<p|0> (serve live during the
 /// replay), oracle=true|false (default true: cold-rank the final graph
 /// and report warm-vs-cold drift and iteration savings).
 Status RunStream(const Config& config, std::ostream* out);

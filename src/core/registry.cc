@@ -6,7 +6,6 @@
 #include "rank/futurerank.h"
 #include "rank/hits.h"
 #include "rank/katz.h"
-#include "rank/kernel/kernel_options.h"
 #include "rank/monte_carlo.h"
 #include "rank/pagerank.h"
 #include "rank/sceas.h"
@@ -89,7 +88,6 @@ Result<std::shared_ptr<const Ranker>> MakeRanker(const std::string& name,
     o.max_iterations = static_cast<int>(
         config.GetIntOr("max_iterations", o.max_iterations));
     o.threads = static_cast<int>(config.GetIntOr("threads", o.threads));
-    SCHOLAR_ASSIGN_OR_RETURN(o.kernel, kernel::KernelOptionsFromConfig(config));
     return std::shared_ptr<const Ranker>(std::make_shared<HitsRanker>(o));
   }
   if (lower == "citerank") {
@@ -117,7 +115,6 @@ Result<std::shared_ptr<const Ranker>> MakeRanker(const std::string& name,
     o.max_iterations = static_cast<int>(
         config.GetIntOr("max_iterations", o.max_iterations));
     o.threads = static_cast<int>(config.GetIntOr("threads", o.threads));
-    SCHOLAR_ASSIGN_OR_RETURN(o.kernel, kernel::KernelOptionsFromConfig(config));
     return std::shared_ptr<const Ranker>(std::make_shared<KatzRanker>(o));
   }
   if (lower == "sceas") {
@@ -128,7 +125,6 @@ Result<std::shared_ptr<const Ranker>> MakeRanker(const std::string& name,
     o.max_iterations = static_cast<int>(
         config.GetIntOr("max_iterations", o.max_iterations));
     o.threads = static_cast<int>(config.GetIntOr("threads", o.threads));
-    SCHOLAR_ASSIGN_OR_RETURN(o.kernel, kernel::KernelOptionsFromConfig(config));
     return std::shared_ptr<const Ranker>(std::make_shared<SceasRanker>(o));
   }
   if (lower == "venuerank") {

@@ -63,9 +63,10 @@ struct EnsembleOptions {
   /// trade-off.
   int window = 0;
   /// Seed each snapshot's iteration with the previous (smaller) snapshot's
-  /// scores. Purely a speedup for the iterative bases (hits, katz, sceas)
-  /// — the fixed points are unchanged; the publication-order solver of
-  /// pagerank, twpr and citerank ignores the seed.
+  /// scores. Purely a speedup, and only for hits, the one base that reads
+  /// a seed: ens_hits on the 300k AMiner profile (seed 1) took 825 sweeps
+  /// with it against 944 without. The fixed points are unchanged; the
+  /// linear bases solve in publication order and ignore the seed.
   bool warm_start = true;
   /// Worker threads: 0 = hardware concurrency, 1 = serial. Snapshots rank
   /// one after another in index order, with or without warm starts; the

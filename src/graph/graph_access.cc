@@ -1,14 +1,8 @@
 #include "graph/graph_access.h"
 
 #include "graph/temporal_csr.h"
-#include "util/parallel_for.h"
 
 namespace scholar {
-namespace {
-
-constexpr size_t kRowGrain = 4096;
-
-}  // namespace
 
 GraphAccess AccessOf(const CitationGraph& graph) {
   GraphAccess a;
@@ -23,8 +17,7 @@ GraphAccess AccessOf(const CitationGraph& graph) {
   return a;
 }
 
-GraphAccess AccessOf(const SnapshotView& view, ViewRowEnds* rows,
-                     ThreadPool* pool) {
+GraphAccess AccessOf(const SnapshotView& view, ViewRowEnds* rows) {
   GraphAccess a;
   const size_t n = view.num_nodes();
   a.num_nodes = n;
@@ -33,12 +26,10 @@ GraphAccess AccessOf(const SnapshotView& view, ViewRowEnds* rows,
   const CitationGraph& g = view.temporal_csr()->sorted_graph();
   rows->out_end.resize(n);
   rows->in_end.resize(n);
-  ParallelFor(pool, n, kRowGrain, [&](size_t begin, size_t end) {
-    for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
-      rows->out_end[u] = g.out_offsets()[u] + view.OutDegree(u);
-      rows->in_end[u] = g.in_offsets()[u] + view.InDegree(u);
-    }
-  });
+  for (NodeId u = 0; u < n; ++u) {
+    rows->out_end[u] = g.out_offsets()[u] + view.OutDegree(u);
+    rows->in_end[u] = g.in_offsets()[u] + view.InDegree(u);
+  }
   a.years = g.years().data();
   a.out_begin = g.out_offsets().data();
   a.out_end = rows->out_end.data();

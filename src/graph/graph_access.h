@@ -10,7 +10,6 @@
 namespace scholar {
 
 class SnapshotView;
-class ThreadPool;
 
 /// Uniform zero-cost adjacency interface the ranking kernels iterate:
 /// satisfied by a full CitationGraph and by a zero-copy SnapshotView. Eight
@@ -51,18 +50,16 @@ struct GraphAccess {
 GraphAccess AccessOf(const CitationGraph& graph);
 
 /// Backing storage for a view's per-row prefix limits. Reusable across
-/// views (kernels keep one in their scratch); resized on each AccessOf.
+/// views; resized on each AccessOf.
 struct ViewRowEnds {
   std::vector<EdgeId> out_end;
   std::vector<EdgeId> in_end;
 };
 
 /// Snapshot-view access: fills `rows` with the view's per-row kept-prefix
-/// end offsets (one binary search per row, parallelized over `pool` when
-/// given) and returns pointers into them plus the parent CSR. O(V log d)
-/// setup, no edge data copied.
-GraphAccess AccessOf(const SnapshotView& view, ViewRowEnds* rows,
-                     ThreadPool* pool = nullptr);
+/// end offsets (one binary search per row) and returns pointers into them
+/// plus the parent CSR. O(V log d) setup, no edge data copied.
+GraphAccess AccessOf(const SnapshotView& view, ViewRowEnds* rows);
 
 }  // namespace scholar
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "rank/kernel/gather_engine.h"
 #include "util/parallel_for.h"
 
 namespace scholar {
@@ -22,6 +21,21 @@ double OrderedSum(const std::vector<double>& partial, size_t chunks) {
   double total = 0.0;
   for (size_t c = 0; c < chunks; ++c) total += partial[c];
   return total;
+}
+
+/// dst[v] = sum of src over row v's neighbors, added in row order. Each row
+/// writes only its own slot and the chunks are fixed, so the result is
+/// bit-identical at every thread count.
+void Gather(const EdgeId* begin, const EdgeId* end, const NodeId* nbrs,
+            const std::vector<double>& src, std::vector<double>* dst,
+            ThreadPool* pool) {
+  ParallelFor(pool, dst->size(), kNodeGrain, [&](size_t lo, size_t hi) {
+    for (size_t v = lo; v < hi; ++v) {
+      double sum = 0.0;
+      for (EdgeId p = begin[v]; p < end[v]; ++p) sum += src[nbrs[p]];
+      (*dst)[v] = sum;
+    }
+  });
 }
 
 /// L2-normalizes in place (parallel, deterministic); returns the norm
@@ -75,19 +89,16 @@ Result<HitsRanker::HubsAndAuthorities> HitsRanker::RankBothOnAccess(
   const size_t chunks = ChunkCount(n, kNodeGrain);
   std::vector<double> partial(chunks, 0.0);
 
-  // Two engines, one per gather orientation: authorities pull hub scores
-  // over the in-CSR, hubs pull authorities over the out-CSR. Both run the
-  // variant selected by options_.kernel.
-  kernel::GatherEngine auth_engine;
-  kernel::GatherEngine hub_engine;
-  SCHOLAR_RETURN_NOT_OK(auth_engine.Init(g, kernel::GatherDirection::kInEdges,
-                                         options_.kernel, pool));
-  SCHOLAR_RETURN_NOT_OK(hub_engine.Init(g, kernel::GatherDirection::kOutEdges,
-                                        options_.kernel, pool));
-  const auto copy_rows = [&](const double* gathered, std::vector<double>* dst) {
-    ParallelFor(pool, n, kNodeGrain, [&](size_t begin, size_t end) {
-      for (size_t v = begin; v < end; ++v) (*dst)[v] = gathered[v];
-    });
+  // Authority(v) = sum of hub(u) over citers u, a pull over the in-CSR;
+  // hub(u) = sum of authority(v) over references v, a pull over the
+  // out-CSR.
+  const auto gather_authorities = [&] {
+    Gather(g.in_begin, g.in_end, g.in_neighbors, out.hubs, &out.authorities,
+           pool);
+  };
+  const auto gather_hubs = [&] {
+    Gather(g.out_begin, g.out_end, g.out_neighbors, out.authorities,
+           &out.hubs, pool);
   };
 
   if (initial_authorities != nullptr && initial_authorities->size() == n) {
@@ -99,7 +110,7 @@ Result<HitsRanker::HubsAndAuthorities> HitsRanker::RankBothOnAccess(
     std::vector<double> seed = *initial_authorities;
     if (NormalizeL2(&seed, pool, &partial) > 0.0) {
       out.authorities = std::move(seed);
-      copy_rows(hub_engine.Gather(out.authorities.data()), &out.hubs);
+      gather_hubs();
       if (NormalizeL2(&out.hubs, pool, &partial) == 0.0) {  // NOLINT(float-compare): a zero norm is returned exactly, never approximately
         out.hubs.assign(n, 1.0 / std::sqrt(static_cast<double>(n)));
       }
@@ -109,13 +120,9 @@ Result<HitsRanker::HubsAndAuthorities> HitsRanker::RankBothOnAccess(
   out.converged = false;
   for (int iter = 1; iter <= options_.max_iterations; ++iter) {
     prev_auth = out.authorities;
-    // Authority(v) = sum of hub(u) over citers u — a pull over the in-CSR;
-    // each node writes only its own slot.
-    copy_rows(auth_engine.Gather(out.hubs.data()), &out.authorities);
+    gather_authorities();
     NormalizeL2(&out.authorities, pool, &partial);
-    // Hub(u) = sum of authority(v) over references v — a pull over the
-    // out-CSR.
-    copy_rows(hub_engine.Gather(out.authorities.data()), &out.hubs);
+    gather_hubs();
     NormalizeL2(&out.hubs, pool, &partial);
 
     ParallelForChunks(pool, n, kNodeGrain,

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "graph/graph_access.h"
-#include "rank/kernel/kernel_options.h"
 #include "rank/ranker.h"
 
 namespace scholar {
@@ -18,12 +17,9 @@ struct HitsOptions {
   double tolerance = 1e-10;
   int max_iterations = 200;
   /// Worker threads for the gather passes: 0 = hardware concurrency,
-  /// 1 = serial. Bit-identical results at every setting.
+  /// 1 = serial. Each row is summed in row order over fixed chunks, so
+  /// results are bit-identical at every setting.
   int threads = 0;
-  /// Iteration-engine variant knobs (SIMD / precision / adaptive
-  /// convergence), applied to both gather orientations; see
-  /// rank/kernel/kernel_options.h.
-  kernel::KernelOptions kernel;
 };
 
 class HitsRanker : public Ranker {

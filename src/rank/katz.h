@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "rank/kernel/kernel_options.h"
 #include "rank/ranker.h"
 
 namespace scholar {
@@ -14,23 +13,26 @@ namespace scholar {
 ///
 ///   s = Σ_{ℓ>=1} alpha^ℓ (A^T)^ℓ 1   ⇔   s <- alpha · A^T (s + 1)
 ///
-/// where A[u][v] = 1 iff u cites v. Converges for alpha < 1/λ_max; the
-/// implementation iterates the affine fixed point and L1-normalizes the
-/// result. A classic structural baseline that, unlike PageRank, does not
-/// split a citer's endorsement across its reference list.
+/// where A[u][v] = 1 iff u cites v. Converges for alpha < 1/λ_max. The
+/// publication-order solver (rank/pagerank.h) solves it in one pass on a
+/// clean corpus, and the result is L1-normalized. A classic structural
+/// baseline that, unlike PageRank, does not split a citer's endorsement
+/// across its reference list.
 struct KatzOptions {
   /// Attenuation per path hop. Must be in (0, 1); values above 1/λ_max of
   /// the citation matrix diverge — the implementation detects divergence
   /// and reports FailedPrecondition.
   double alpha = 0.05;
+  /// Only consulted when a kept reference points to a newer article: the
+  /// solver's passes then repeat until the scores and their mass settle
+  /// below this.
   double tolerance = 1e-10;
+  /// Cap on those passes.
   int max_iterations = 200;
-  /// Worker threads for the gather passes: 0 = hardware concurrency,
-  /// 1 = serial. Bit-identical results at every setting.
+  /// Worker threads for the per-row setup: 0 = hardware concurrency,
+  /// 1 = serial. The pass is serial, so scores are bit-identical at every
+  /// setting.
   int threads = 0;
-  /// Iteration-engine variant knobs (SIMD / precision / adaptive
-  /// convergence); see rank/kernel/kernel_options.h.
-  kernel::KernelOptions kernel;
 };
 
 class KatzRanker : public Ranker {

@@ -102,33 +102,12 @@ ThreadPool* PowerIterationScratch::PoolFor(size_t workers) {
   return pool_.get();
 }
 
-std::vector<double> ExtendScoresForGrownGraph(
-    const std::vector<double>& old_scores, size_t new_num_nodes) {
-  std::vector<double> scores(new_num_nodes, 0.0);
-  if (new_num_nodes == 0) return scores;
-  double total = 0.0;
-  const size_t copied = std::min(old_scores.size(), new_num_nodes);
-  for (size_t i = 0; i < copied; ++i) {
-    scores[i] = std::max(0.0, old_scores[i]);
-    total += scores[i];
-  }
-  if (total <= 0.0) {
-    std::fill(scores.begin(), scores.end(),
-              1.0 / static_cast<double>(new_num_nodes));
-    return scores;
-  }
-  const double mean = total / static_cast<double>(copied);
-  for (size_t i = copied; i < new_num_nodes; ++i) scores[i] = mean;
-  double new_total = total + mean * static_cast<double>(new_num_nodes - copied);
-  for (double& s : scores) s /= new_total;
-  return scores;
-}
-
 Result<RankResult> SolveInPublicationOrder(const SnapshotView& view,
                                            const YearGapWeights* weights,
                                            const std::vector<double>& jump,
                                            const PowerIterationOptions& options,
-                                           PowerIterationScratch* scratch) {
+                                           PowerIterationScratch* scratch,
+                                           const LinearForm& form) {
   const size_t n = view.num_nodes();
   SCHOLAR_RETURN_NOT_OK(ValidateSolverArgs(n, jump, options));
   if (n == 0) return RankResult{};
@@ -155,7 +134,11 @@ Result<RankResult> SolveInPublicationOrder(const SnapshotView& view,
         row_weight = 0.0;
         for (NodeId v : row) row_weight += (*weights)(g.year(u), g.year(v));
       }
-      s.row_scale[u] = row_weight > 0.0 ? options.damping / row_weight : 0.0;
+      s.row_scale[u] = 0.0;  // dangling
+      if (row_weight > 0.0) {
+        s.row_scale[u] = form.unnormalized_rows ? options.damping
+                                                : options.damping / row_weight;
+      }
       upward += !row.empty() && row.back() >= u;
     }
     s.partial[chunk] = upward;
@@ -168,21 +151,35 @@ Result<RankResult> SolveInPublicationOrder(const SnapshotView& view,
   RankResult result;
   result.scores.resize(n);
   result.converged = false;
+  const double mass_limit = 1e12 * static_cast<double>(n);
+  double previous_total = 0.0;
   for (int pass = 1; pass <= options.max_iterations; ++pass) {
     Pass(g, weights, jump, s, result.scores.data());
     double total = 0.0;
-    for (double y : result.scores) total += y;
+    for (double y : result.scores) total += y + form.shift;
+    if (form.unnormalized_rows && !(total <= mass_limit)) {
+      return Status::FailedPrecondition(
+          "the series diverged: damping " + std::to_string(options.damping) +
+          " exceeds 1/lambda_max of this citation network");
+    }
+    const double scale = total > 0.0 ? total : 1.0;
     double residual = 0.0;
     for (size_t u = 0; u < n; ++u) {
-      result.scores[u] /= total;
+      result.scores[u] = (result.scores[u] + form.shift) / scale;
       if (upward) residual += std::abs(result.scores[u] - s.previous[u]);
     }
+    // A diverging series settles its normalized scores while its mass
+    // keeps growing, so unnormalized rows also wait for the mass.
+    const bool mass_settled = !form.unnormalized_rows ||
+                              total - previous_total < options.tolerance * total;
+    previous_total = total;
     result.iterations = pass;
     result.final_residual = residual;
     // With upward references the first pass has no predecessor to
     // compare with (its residual is taken against the uniform vector), so
     // at least two passes run.
-    if (!upward || (pass > 1 && residual < options.tolerance)) {
+    if (!upward ||
+        (pass > 1 && residual < options.tolerance && mass_settled)) {
       result.converged = true;
       break;
     }

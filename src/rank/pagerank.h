@@ -15,9 +15,11 @@
 
 namespace scholar {
 
-/// Shared knobs of the linear rankers (PageRank, TWPR, CiteRank).
+/// Shared knobs of the linear rankers (PageRank, TWPR, CiteRank; Katz and
+/// SCEAS fill one from their own options).
 struct PowerIterationOptions {
-  /// Probability of following a citation (1 - teleport probability).
+  /// Probability of following a citation (1 - teleport probability); the
+  /// per-row coefficient of the solver (see LinearForm).
   double damping = 0.85;
   /// Only consulted when a kept reference points to a newer article (see
   /// SolveInPublicationOrder): passes then repeat until the L1 change of
@@ -53,6 +55,20 @@ class YearGapWeights {
   std::vector<double> table_;
 };
 
+/// What sets a linear system apart inside SolveInPublicationOrder. The
+/// default is the damped random walk of PageRank, TWPR and CiteRank.
+struct LinearForm {
+  /// false: row u pushes damping * w(u,v) / (u's kept row weight) to each
+  /// kept reference v, so every row is stochastic. true: it pushes
+  /// damping * w(u,v), as Katz's rows do. Such a series diverges once
+  /// damping reaches 1 / lambda_max; the solver then returns
+  /// FailedPrecondition.
+  bool unnormalized_rows = false;
+  /// Added to every y before normalization: 0 for the random walks, -1 for
+  /// Katz and SCEAS, whose scores are y - 1.
+  double shift = 0.0;
+};
+
 /// Reusable solver state: the per-row buffers plus the lazily built worker
 /// pool. The ensemble ranks k snapshots per call and shares one scratch
 /// across them, so the buffers and the pool are allocated once instead of k
@@ -68,7 +84,7 @@ class PowerIterationScratch {
   ThreadPool* PoolFor(size_t workers);
 
   std::vector<EdgeId> row_end;    // end of each row's kept prefix
-  std::vector<double> row_scale;  // damping / kept row weight; 0 = dangling
+  std::vector<double> row_scale;  // per-row coefficient; 0 = dangling
   std::vector<double> acc;        // mass pushed to each row, not yet taken
   std::vector<double> previous;   // last pass's scores (repeated passes)
   std::vector<size_t> partial;    // per-chunk upward-reference counts
@@ -78,7 +94,8 @@ class PowerIterationScratch {
   size_t pool_workers_ = 0;
 };
 
-/// The solver of PageRank, TWPR and CiteRank.
+/// The solver of the five linear rankers: PageRank, TWPR, CiteRank, Katz
+/// and SCEAS.
 ///
 /// Computes, on a snapshot view, the stationary distribution of the damped
 /// random walk
@@ -93,13 +110,23 @@ class PowerIterationScratch {
 /// acc[u], then adds d * w(u,v) * y[u] / row_weight(u) into acc[v] for each
 /// kept reference v of u. The scores are y / sum(y), so they sum to 1.
 ///
+/// `form` changes two things and nothing else. With unnormalized rows the
+/// push is d * w(u,v) * y[u] and the series can diverge: a pass whose mass
+/// exceeds 1e12 per node returns FailedPrecondition. With a shift o the
+/// scores are (y + o) / sum(y + o); all-zero shifted scores stay zero.
+/// Katz (d = alpha, unnormalized rows) and SCEAS (d = 1 / a) are this
+/// system with a uniform jump and o = -1; see KatzRanker and SceasRanker.
+///
 /// A reference to a larger sorted id (a same-year cycle, a backward
 /// citation, an unknown-year citer) reaches acc[v] after v was set; its mass
 /// waits there for the next pass, which makes repeated passes Gauss–Seidel
 /// sweeps. When the view keeps such references, passes repeat until the L1
 /// change of the normalized scores drops below `options.tolerance`, capped
-/// at `options.max_iterations`. `iterations` counts passes (1 on clean
-/// corpora) and `converged` says whether the tolerance was met.
+/// at `options.max_iterations`; under unnormalized rows the relative change
+/// of the mass must drop below it too, because a diverging series settles
+/// its normalized scores while its mass keeps growing. `iterations` counts
+/// passes (1 on clean corpora) and `converged` says whether the tolerance
+/// was met.
 ///
 /// Row weights are taken over the view's kept row prefix, because a
 /// backward citation makes a row depend on the snapshot; they are computed
@@ -116,7 +143,8 @@ Result<RankResult> SolveInPublicationOrder(const SnapshotView& view,
                                            const std::vector<double>& jump,
                                            const PowerIterationOptions& options,
                                            PowerIterationScratch* scratch =
-                                               nullptr);
+                                               nullptr,
+                                           const LinearForm& form = {});
 
 /// Runs `solve` on ctx.view, or on the full view of a TemporalCsr over
 /// ctx.graph with the scores mapped back to graph ids. So a full-graph rank
@@ -125,13 +153,6 @@ Result<RankResult> SolveInPublicationOrder(const SnapshotView& view,
 Result<RankResult> RankInPublicationOrder(
     const RankContext& ctx,
     const std::function<Result<RankResult>(const SnapshotView&)>& solve);
-
-/// Pads a score vector from a smaller prefix-snapshot of a graph up to
-/// `new_num_nodes` (new articles get the mean existing score) — the warm
-/// start for incremental re-ranking after a corpus grows. Returns a uniform
-/// vector when `old_scores` is empty or has non-positive mass.
-std::vector<double> ExtendScoresForGrownGraph(
-    const std::vector<double>& old_scores, size_t new_num_nodes);
 
 /// Classic PageRank on the citation network (score flows from a paper to its
 /// references). The canonical structural baseline in the paper.

@@ -138,9 +138,8 @@ Status ValidateContext(const RankContext& ctx, bool requires_authors,
   return Status::OK();
 }
 
-GraphAccess AccessOf(const RankContext& ctx, ViewRowEnds* rows,
-                     ThreadPool* pool) {
-  return ctx.view != nullptr ? AccessOf(*ctx.view, rows, pool)
+GraphAccess AccessOf(const RankContext& ctx, ViewRowEnds* rows) {
+  return ctx.view != nullptr ? AccessOf(*ctx.view, rows)
                              : AccessOf(*ctx.graph);
 }
 

@@ -35,16 +35,16 @@ struct RankContext {
   /// max_year().
   Year now_year = kUnknownYear;
   /// Optional warm-start hint: a previous score vector for (a supergraph
-  /// of) this graph. Iterative rankers (hits, katz, sceas) may seed their
-  /// power iteration from it to converge in fewer rounds; it never changes
-  /// the fixed point. The publication-order solver of pagerank, twpr and
-  /// citerank ignores it. Size must equal NumNodes() when present.
+  /// of) this graph. Only HITS reads it: it seeds its power iteration from
+  /// it to converge in fewer rounds, and the fixed point does not change.
+  /// The linear rankers solve in publication order and need no seed. Size
+  /// must equal NumNodes() when present.
   const std::vector<double>* initial_scores = nullptr;
   /// Optional reusable solver state (buffers + worker pool) for the
-  /// linear rankers (pagerank, twpr, citerank); the ensemble shares one
-  /// across its snapshot ranks so the O(n) solver buffers are allocated
-  /// once, not k times. Never share one scratch between concurrent Rank
-  /// calls.
+  /// linear rankers (pagerank, twpr, citerank, katz, sceas); the ensemble
+  /// shares one across its snapshot ranks so the O(n) solver buffers are
+  /// allocated once, not k times. Never share one scratch between
+  /// concurrent Rank calls.
   PowerIterationScratch* scratch = nullptr;
 
   /// Node count of whichever of graph/view is set (0 when neither is).
@@ -70,12 +70,6 @@ struct RankResult {
   double final_residual = 0.0;
   /// False when max_iterations was hit before reaching tolerance.
   bool converged = true;
-  /// L1 mass of the solver's final iterate before output normalization
-  /// (1.0 for rankers whose scores already form a distribution). Scaling
-  /// `scores` by this reconstructs the iteration's natural magnitude — the
-  /// correct warm-start seed for the affine-fixed-point kernels (Katz,
-  /// SCEAS), whose iterates are not probability vectors.
-  double score_mass = 1.0;
 };
 
 /// A query-independent article ranker.
@@ -134,10 +128,9 @@ Status ValidateContext(const RankContext& ctx, bool requires_authors,
                        bool requires_venues = false);
 
 /// The adjacency a ranker iterates: the graph's own CSR, or, for a view, the
-/// parent CSR cut to the view's row prefixes (stored in `rows`, built over
-/// `pool` when given). Borrows the context's graph or view.
-GraphAccess AccessOf(const RankContext& ctx, ViewRowEnds* rows,
-                     ThreadPool* pool = nullptr);
+/// parent CSR cut to the view's row prefixes (stored in `rows`). Borrows
+/// the context's graph or view.
+GraphAccess AccessOf(const RankContext& ctx, ViewRowEnds* rows);
 
 }  // namespace scholar
 

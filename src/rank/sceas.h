@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "rank/kernel/kernel_options.h"
 #include "rank/ranker.h"
 
 namespace scholar {
@@ -17,21 +16,25 @@ namespace scholar {
 ///   s(v) = Σ_{u cites v} (s(u) + b) / (a · outdeg(u))
 ///
 /// With a = e and b = 1 (the authors' values) the iteration is a
-/// contraction (1/a < 1), so it converges without teleportation. Scores are
-/// L1-normalized afterwards.
+/// contraction (1/a < 1), so it converges without teleportation. The
+/// publication-order solver (rank/pagerank.h) solves it in one pass on a
+/// clean corpus, and the result is L1-normalized, which makes any b > 0
+/// rank alike; b = 0 scores every article 0.
 struct SceasOptions {
   /// Direct-citation credit added per citation.
   double b = 1.0;
   /// Attenuation of indirect (propagated) score; must be > 1.
   double a = 2.718281828459045;
+  /// Only consulted when a kept reference points to a newer article: the
+  /// solver's passes then repeat until the L1 change of the scores drops
+  /// below this.
   double tolerance = 1e-10;
+  /// Cap on those passes.
   int max_iterations = 200;
-  /// Worker threads for the gather passes: 0 = hardware concurrency,
-  /// 1 = serial. Bit-identical results at every setting.
+  /// Worker threads for the per-row setup: 0 = hardware concurrency,
+  /// 1 = serial. The pass is serial, so scores are bit-identical at every
+  /// setting.
   int threads = 0;
-  /// Iteration-engine variant knobs (SIMD / precision / adaptive
-  /// convergence); see rank/kernel/kernel_options.h.
-  kernel::KernelOptions kernel;
 };
 
 class SceasRanker : public Ranker {

@@ -1,6 +1,5 @@
 #include "stream/epoch_pipeline.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/timer.h"
@@ -32,23 +31,6 @@ Status EpochPipeline::Bootstrap() {
   return Status::OK();
 }
 
-std::vector<NodeId> EpochPipeline::DirtyNodes(const CitationGraph& graph,
-                                              size_t old_n,
-                                              size_t old_e) const {
-  std::vector<NodeId> dirty;
-  dirty.reserve((graph.num_nodes() - old_n) +
-                (graph.num_edges() - old_e));
-  for (size_t v = old_n; v < graph.num_nodes(); ++v) {
-    dirty.push_back(static_cast<NodeId>(v));
-  }
-  const std::vector<NodeId>& targets = graph.out_neighbors();
-  dirty.insert(dirty.end(), targets.begin() + static_cast<long>(old_e),
-               targets.end());
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  return dirty;
-}
-
 Result<EpochStats> EpochPipeline::Step(EdgeBatch batch) {
   EpochStats stats;
   stats.epoch = next_epoch_;
@@ -73,17 +55,13 @@ Result<EpochStats> EpochPipeline::Step(EdgeBatch batch) {
 
   const CitationGraph& g = graph_->graph();
   timer.Reset();
-  Result<RankResult> ranked =
-      ranker_->mode() == "frontier"
-          ? ranker_->RankWarm(g, DirtyNodes(g, old_n, old_e))
-          : ranker_->RankWarm(g);
-  SCHOLAR_RETURN_NOT_OK(ranked.status());
+  SCHOLAR_ASSIGN_OR_RETURN(RankResult ranked, ranker_->RankWarm(g));
   stats.rank_ms = timer.ElapsedMillis();
-  stats.iterations = ranked->iterations;
-  stats.converged = ranked->converged;
+  stats.iterations = ranked.iterations;
+  stats.converged = ranked.converged;
 
   timer.Reset();
-  SCHOLAR_RETURN_NOT_OK(publisher_(g, *ranked, stats));
+  SCHOLAR_RETURN_NOT_OK(publisher_(g, ranked, stats));
   stats.publish_ms = timer.ElapsedMillis();
   history_.push_back(stats);
   ++next_epoch_;

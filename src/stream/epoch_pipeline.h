@@ -40,10 +40,10 @@ using EpochPublisher = std::function<Status(
     const CitationGraph& graph, const RankResult& result,
     const EpochStats& stats)>;
 
-/// The streaming epoch loop: apply a batch, re-rank warm, republish.
+/// The streaming epoch loop: apply a batch, re-rank, republish.
 ///
 ///   batch -> StreamingGraph::Ingest      (validate, suffix-append, stage)
-///         -> IncrementalRanker::RankWarm (seed = previous scores)
+///         -> IncrementalRanker::RankWarm (the whole grown graph)
 ///         -> publisher                   (snapshot build + hot swap)
 ///
 /// A staged (out-of-order) batch produces an epoch with batches_applied=0
@@ -70,11 +70,6 @@ class EpochPipeline {
   int total_iterations() const;
 
  private:
-  /// Nodes whose adjacency the suffix [old_n, old_e) -> [new_n, new_e)
-  /// touched: the new articles and everything they cite.
-  std::vector<NodeId> DirtyNodes(const CitationGraph& graph, size_t old_n,
-                                 size_t old_e) const;
-
   StreamingGraph* const graph_;       // not owned
   IncrementalRanker* const ranker_;   // not owned
   EpochPublisher publisher_;

@@ -1,25 +1,19 @@
 #include "stream/incremental_ranker.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
-
-#include "graph/graph_access.h"
-#include "stream/frontier_rank.h"
 
 namespace scholar {
 namespace stream {
 
 std::vector<double> ExtendSeedForGrownGraph(
-    const std::vector<double>& old_scores, double old_mass,
-    size_t new_num_nodes) {
+    const std::vector<double>& old_scores, size_t new_num_nodes) {
+  if (old_scores.empty() || old_scores.size() > new_num_nodes) {
+    return {};  // empty = "no seed"; the rankers fall back to cold
+  }
   std::vector<double> seed;
   seed.reserve(new_num_nodes);
-  if (old_scores.empty() || old_scores.size() > new_num_nodes ||
-      !(old_mass > 0.0) || !std::isfinite(old_mass)) {
-    return seed;  // empty = "no seed"; the kernels fall back to cold
-  }
-  for (double s : old_scores) seed.push_back(s * old_mass);
+  seed.assign(old_scores.begin(), old_scores.end());
   // New articles score like *recent* articles, not average ones — a fresh
   // paper has had no time to accumulate citations. Node ids are
   // year-monotone, so the tail decile of the old vector is exactly the
@@ -34,35 +28,24 @@ std::vector<double> ExtendSeedForGrownGraph(
 
 Result<IncrementalRanker> IncrementalRanker::Create(
     IncrementalRankerOptions options) {
-  if (options.mode != "full" && options.mode != "frontier") {
-    return Status::InvalidArgument("mode must be 'full' or 'frontier', got '" +
+  if (options.mode != "full") {
+    return Status::InvalidArgument("mode must be 'full', got '" +
                                    options.mode + "'");
-  }
-  if (options.mode == "frontier" && options.ranker != "pagerank") {
-    return Status::InvalidArgument(
-        "mode=frontier implements the uniform-weight pagerank system only; "
-        "ranker '" + options.ranker + "' needs mode=full");
   }
   SCHOLAR_ASSIGN_OR_RETURN(std::shared_ptr<const Ranker> ranker,
                            MakeRanker(options.ranker, options.config));
   return IncrementalRanker(std::move(options), std::move(ranker));
 }
 
-void IncrementalRanker::Remember(const RankResult& result) {
-  previous_scores_ = result.scores;
-  previous_mass_ = result.score_mass;
-}
-
 Result<RankResult> IncrementalRanker::RankCold(const CitationGraph& graph) {
   RankContext ctx;
   ctx.graph = &graph;
   SCHOLAR_ASSIGN_OR_RETURN(RankResult result, ranker_->Rank(ctx));
-  Remember(result);
+  previous_scores_ = result.scores;
   return result;
 }
 
-Result<RankResult> IncrementalRanker::RankWarm(
-    const CitationGraph& graph, const std::vector<NodeId>& dirty) {
+Result<RankResult> IncrementalRanker::RankWarm(const CitationGraph& graph) {
   if (previous_scores_.empty()) return RankCold(graph);
   if (previous_scores_.size() > graph.num_nodes()) {
     return Status::FailedPrecondition(
@@ -72,32 +55,13 @@ Result<RankResult> IncrementalRanker::RankWarm(
         std::to_string(graph.num_nodes()) +
         " (streams only grow; call RankCold)");
   }
-  const std::vector<double> seed = ExtendSeedForGrownGraph(
-      previous_scores_, previous_mass_, graph.num_nodes());
-
-  if (options_.mode == "frontier") {
-    FrontierOptions frontier;
-    frontier.damping = options_.config.GetDoubleOr("damping", 0.85);
-    frontier.tolerance = options_.config.GetDoubleOr("tolerance", 1e-10);
-    frontier.max_iterations =
-        static_cast<int>(options_.config.GetIntOr("max_iterations", 200));
-    frontier.threads =
-        static_cast<int>(options_.config.GetIntOr("threads", 0));
-    frontier.frontier_tolerance = options_.frontier_tolerance;
-    SCHOLAR_ASSIGN_OR_RETURN(
-        frontier.kernel, kernel::KernelOptionsFromConfig(options_.config));
-    SCHOLAR_ASSIGN_OR_RETURN(
-        RankResult result,
-        FrontierPowerIteration(AccessOf(graph), seed, dirty, frontier));
-    Remember(result);
-    return result;
-  }
-
+  const std::vector<double> seed =
+      ExtendSeedForGrownGraph(previous_scores_, graph.num_nodes());
   RankContext ctx;
   ctx.graph = &graph;
-  if (!seed.empty()) ctx.initial_scores = &seed;
+  ctx.initial_scores = &seed;
   SCHOLAR_ASSIGN_OR_RETURN(RankResult result, ranker_->Rank(ctx));
-  Remember(result);
+  previous_scores_ = result.scores;
   return result;
 }
 

@@ -1,5 +1,7 @@
 #include "util/config.h"
 
+#include <cstdio>
+
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -57,7 +59,10 @@ void Config::SetInt(const std::string& key, int64_t value) {
 }
 
 void Config::SetDouble(const std::string& key, double value) {
-  Set(key, FormatDouble(value, 12));
+  // 17 significant digits read back as the same double.
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  Set(key, buf);
 }
 
 void Config::SetBool(const std::string& key, bool value) {

@@ -1,13 +1,14 @@
 // Dirty-data contracts of the linear rankers (pagerank, twpr with and
-// without the recency jump, citerank) and their ensembles, on graphs with
-// same-year chains in reverse id order, same-year cycles, backward
-// citations, unknown-year citers and citees, duplicate references,
-// dangling rows, TWPR rows whose weights underflow to 0 and isolated
-// articles (test_util.h's MakeDirtyGraph and MakeRandomDirtyGraph):
+// without the recency jump, citerank, katz, sceas) and their ensembles, on
+// graphs with same-year chains in reverse id order, same-year cycles,
+// backward citations, unknown-year citers and citees, duplicate
+// references, dangling rows, TWPR rows whose weights underflow to 0 and
+// isolated articles (test_util.h's MakeDirtyGraph and
+// MakeRandomDirtyGraph):
 //
 //   * every rank returns OK with finite scores; base scores sum to 1;
 //   * scores are bit-identical at threads {1, 2, 4, 8};
-//   * scores lie within 1e-11 in L1 of the power-iteration oracle
+//   * scores lie within 1e-11 in L1 of the oracle's sweeps
 //     (power_iteration_oracle.h), and so do the ensembles built on them.
 //
 // The solver repeats its Gauss–Seidel passes until the L1 change drops
@@ -43,7 +44,9 @@ struct Base {
 constexpr Base kBases[] = {{"pagerank", "pagerank", false},
                            {"twpr", "twpr", false},
                            {"twpr", "twpr_recency", true},
-                           {"citerank", "citerank", false}};
+                           {"citerank", "citerank", false},
+                           {"katz", "katz", false},
+                           {"sceas", "sceas", false}};
 
 Config BaseConfig(const Base& base, int threads) {
   Config config;

@@ -43,10 +43,9 @@ struct Capture {
 };
 
 struct PipelineUnderTest {
-  explicit PipelineUnderTest(const std::string& mode = "full") {
+  PipelineUnderTest() {
     IncrementalRankerOptions options;
     options.ranker = "pagerank";
-    options.mode = mode;
     ranker.emplace(IncrementalRanker::Create(options).value());
     graph.emplace(MakeTinyGraph());
     pipeline.emplace(&*graph, &*ranker, capture.AsPublisher());
@@ -141,18 +140,6 @@ TEST(EpochPipelineTest, TotalIterationsSumsRankedEpochs) {
   }
   EXPECT_EQ(t.pipeline->total_iterations(), sum);
   EXPECT_GT(sum, 0);
-}
-
-TEST(EpochPipelineTest, FrontierModePassesDirtyNodesThrough) {
-  PipelineUnderTest t("frontier");
-  ASSERT_TRUE(t.pipeline->Bootstrap().ok());
-  Result<EpochStats> stats =
-      t.pipeline->Step(Batch(1, {2005, 2006}, {{5, 0}, {6, 3}}));
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->num_nodes, 7u);
-  EXPECT_TRUE(stats->converged);
-  ASSERT_EQ(t.capture.score_sizes.size(), 2u);
-  EXPECT_EQ(t.capture.score_sizes[1], 7u);
 }
 
 }  // namespace

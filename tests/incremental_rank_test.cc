@@ -1,10 +1,10 @@
 // Property satellite: after N streamed batches, a warm incremental rank
-// (seeded from the previous epoch via RankResult::score_mass) must land
-// within tolerance of a cold full re-rank of the same graph AND converge
-// in fewer total iterations — across every iterative kernel and thread
-// counts {1, 2, 4, 8}; pagerank and twpr, which solve in one exact pass,
-// must equal the cold rank bit for bit. Also pins the bit-identical-across-threads
-// guarantee for the warm path and the bounded drift of mode=frontier.
+// must land within tolerance of a cold full re-rank of the same graph, at
+// thread counts {1, 2, 4, 8}. The linear rankers (pagerank, twpr, katz,
+// sceas) solve each epoch in one exact pass and must equal the cold rank
+// bit for bit; hits, seeded from the previous epoch, must converge in
+// fewer total iterations. Also pins the bit-identical-across-threads
+// guarantee for the warm path.
 
 #include "stream/incremental_ranker.h"
 
@@ -71,11 +71,9 @@ Replay MakeReplay(size_t n, size_t n_base, size_t num_batches,
   return replay;
 }
 
-IncrementalRankerOptions Options(const std::string& kernel, int threads,
-                                 const std::string& mode) {
+IncrementalRankerOptions Options(const std::string& kernel, int threads) {
   IncrementalRankerOptions options;
   options.ranker = kernel;
-  options.mode = mode;
   options.config.SetInt("threads", threads);
   return options;
 }
@@ -93,16 +91,16 @@ class IncrementalRankProperty : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(IncrementalRankProperty, WarmMatchesColdInFewerIterationsAllThreads) {
   const std::string kernel = GetParam();
-  // pagerank and twpr solve each epoch exactly in one publication-order
-  // pass, which ignores the seed: warm is cold, bit for bit. The kernels
-  // that iterate must save rounds.
-  const bool exact = kernel == "pagerank" || kernel == "twpr";
+  // The linear rankers solve each epoch exactly in one publication-order
+  // pass, which ignores the seed: warm is cold, bit for bit. hits, which
+  // iterates, must save rounds.
+  const bool exact = kernel != "hits";
   const Replay replay = MakeReplay(/*n=*/1000, /*n_base=*/800,
                                    /*num_batches=*/4, /*seed=*/20180416);
   std::vector<double> reference_scores;  // warm result at threads=1
   for (int threads : kThreadCounts) {
     auto warm_result =
-        IncrementalRanker::Create(Options(kernel, threads, "full"));
+        IncrementalRanker::Create(Options(kernel, threads));
     ASSERT_TRUE(warm_result.ok()) << warm_result.status().ToString();
     IncrementalRanker warm = std::move(warm_result).value();
     StreamingGraph stream(replay.base);
@@ -122,7 +120,7 @@ TEST_P(IncrementalRankProperty, WarmMatchesColdInFewerIterationsAllThreads) {
 
       // Cold oracle of the *same* epoch graph, fresh state each time.
       IncrementalRanker cold =
-          IncrementalRanker::Create(Options(kernel, threads, "full")).value();
+          IncrementalRanker::Create(Options(kernel, threads)).value();
       Result<RankResult> oracle = cold.RankCold(stream.graph());
       ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
       cold_total += oracle->iterations;
@@ -160,79 +158,35 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, IncrementalRankProperty,
                          ::testing::Values("pagerank", "twpr", "hits", "katz",
                                            "sceas"));
 
-TEST(FrontierModeTest, BoundedDriftAndThreadDeterminism) {
-  const Replay replay = MakeReplay(1000, 800, 4, 77);
-  std::vector<double> reference_scores;
-  for (int threads : kThreadCounts) {
-    IncrementalRankerOptions options = Options("pagerank", threads,
-                                               "frontier");
-    options.frontier_tolerance = 1e-12;
-    IncrementalRanker warm =
-        IncrementalRanker::Create(options).value();
-    StreamingGraph stream(replay.base);
-    ASSERT_TRUE(warm.RankCold(stream.graph()).ok());
-    std::vector<double> warm_scores;
-    for (const EdgeBatch& batch : replay.batches) {
-      ASSERT_TRUE(stream.Ingest(batch).ok());
-      // Dirty set: the batch's new nodes plus everything they cite.
-      std::vector<NodeId> dirty;
-      const NodeId first =
-          static_cast<NodeId>(stream.num_nodes() - batch.num_nodes());
-      for (NodeId u = first; u < static_cast<NodeId>(stream.num_nodes());
-           ++u) {
-        dirty.push_back(u);
-      }
-      for (const StreamEdge& e : batch.edges) dirty.push_back(e.dst);
-      Result<RankResult> epoch = warm.RankWarm(stream.graph(), dirty);
-      ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
-      warm_scores = epoch->scores;
-    }
-    // Frontier freezing trades exactness for work: documented drift bound
-    // (DESIGN.md, streaming section) is orders looser than mode=full.
-    IncrementalRanker cold =
-        IncrementalRanker::Create(Options("pagerank", threads, "full"))
-            .value();
-    RankResult oracle = cold.RankCold(stream.graph()).value();
-    const double drift = MaxAbsDiff(warm_scores, oracle.scores);
-    EXPECT_LE(drift, 1e-5) << "threads=" << threads;
-    if (reference_scores.empty()) {
-      reference_scores = warm_scores;
-    } else {
-      EXPECT_EQ(warm_scores, reference_scores)
-          << "frontier scores diverged at threads=" << threads;
-    }
-  }
+TEST(IncrementalRankerTest, RejectsFrontierMode) {
+  IncrementalRankerOptions options = Options("pagerank", 1);
+  options.mode = "frontier";
+  EXPECT_TRUE(IncrementalRanker::Create(options).status().IsInvalidArgument());
+  options.mode = "bogus";
+  EXPECT_TRUE(IncrementalRanker::Create(options).status().IsInvalidArgument());
 }
 
-TEST(FrontierModeTest, RequiresPagerank) {
-  EXPECT_FALSE(IncrementalRanker::Create(Options("katz", 1, "frontier")).ok());
-  EXPECT_FALSE(IncrementalRanker::Create(Options("hits", 1, "bogus")).ok());
-}
-
-TEST(ExtendSeedTest, RescalesByMassAndPadsWithYoungCohortMean) {
-  // Old scores are a unit distribution with mass 10: the seed is the
-  // solver-native vector (scores * mass), padded for the two new nodes
-  // with the mean of the youngest 10% (here: the last entry, 4.0).
+TEST(ExtendSeedTest, PadsWithYoungCohortMean) {
+  // Old entries are copied; the two new nodes get the mean of the youngest
+  // 10% (here: the last entry, 0.4).
   const std::vector<double> old_scores = {0.1, 0.2, 0.3, 0.4};
-  std::vector<double> seed = ExtendSeedForGrownGraph(old_scores, 10.0, 6);
+  std::vector<double> seed = ExtendSeedForGrownGraph(old_scores, 6);
   ASSERT_EQ(seed.size(), 6u);
-  EXPECT_DOUBLE_EQ(seed[0], 1.0);
-  EXPECT_DOUBLE_EQ(seed[3], 4.0);
-  EXPECT_DOUBLE_EQ(seed[4], 4.0);
-  EXPECT_DOUBLE_EQ(seed[5], 4.0);
+  EXPECT_DOUBLE_EQ(seed[0], 0.1);
+  EXPECT_DOUBLE_EQ(seed[3], 0.4);
+  EXPECT_DOUBLE_EQ(seed[4], 0.4);
+  EXPECT_DOUBLE_EQ(seed[5], 0.4);
 }
 
 TEST(ExtendSeedTest, DegenerateInputsYieldNoSeed) {
-  EXPECT_TRUE(ExtendSeedForGrownGraph({}, 1.0, 5).empty());
-  EXPECT_TRUE(ExtendSeedForGrownGraph({0.5, 0.5}, 1.0, 1).empty());  // shrank
-  EXPECT_TRUE(ExtendSeedForGrownGraph({0.5, 0.5}, 0.0, 4).empty());
-  EXPECT_TRUE(ExtendSeedForGrownGraph({0.5, 0.5}, -1.0, 4).empty());
+  EXPECT_TRUE(ExtendSeedForGrownGraph({}, 5).empty());
+  EXPECT_TRUE(ExtendSeedForGrownGraph({0.5, 0.5}, 1).empty());  // shrank
 }
 
 TEST(IncrementalRankerTest, WarmWithoutPreviousFallsBackToCold) {
   const CitationGraph graph = MakeRandomGraph(200, 4.0, 2000, 5, 3);
   IncrementalRanker ranker =
-      IncrementalRanker::Create(Options("pagerank", 1, "full")).value();
+      IncrementalRanker::Create(Options("pagerank", 1)).value();
   EXPECT_FALSE(ranker.has_previous());
   Result<RankResult> result = ranker.RankWarm(graph);
   ASSERT_TRUE(result.ok());
@@ -243,7 +197,7 @@ TEST(IncrementalRankerTest, ShrunkGraphBreaksTheWarmChain) {
   const CitationGraph big = MakeRandomGraph(200, 4.0, 2000, 5, 3);
   const CitationGraph small = MakeRandomGraph(100, 4.0, 2000, 5, 3);
   IncrementalRanker ranker =
-      IncrementalRanker::Create(Options("pagerank", 1, "full")).value();
+      IncrementalRanker::Create(Options("pagerank", 1)).value();
   ASSERT_TRUE(ranker.RankCold(big).ok());
   EXPECT_EQ(ranker.RankWarm(small).status().code(),
             StatusCode::kFailedPrecondition);

@@ -78,6 +78,20 @@ TEST(KatzTest, DivergenceDetected) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(KatzTest, SlowDivergenceIsNotReportedAsConvergence) {
+  // Three same-year articles citing each other: lambda_max = 2, so
+  // alpha = 0.6 diverges slowly. The normalized scores settle on the
+  // principal eigenvector within about 55 passes while the mass is still
+  // far below the divergence guard's limit; the growing mass must keep
+  // the passes going until the guard trips.
+  CitationGraph g = MakeGraph(
+      {2000, 2000, 2000}, {{0, 1}, {0, 2}, {1, 0}, {1, 2}, {2, 0}, {2, 1}});
+  KatzOptions o;
+  o.alpha = 0.6;
+  auto result = KatzRanker(o).Rank(g);
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(KatzTest, RejectsBadOptions) {
   KatzOptions o;
   o.alpha = 0.0;

@@ -1,11 +1,12 @@
 #ifndef SCHOLARRANK_TESTS_POWER_ITERATION_ORACLE_H_
 #define SCHOLARRANK_TESTS_POWER_ITERATION_ORACLE_H_
 
-// Reference oracle for the linear rankers (pagerank, twpr, citerank): a
-// plain serial power iteration over a full graph's out-CSR. It shares no
-// code with the publication-order solver in src/rank/pagerank.cc.
-// bench/fig6_convergence and bench/rank_scaling use the same functions as
-// the tests.
+// Reference oracle for the linear rankers (pagerank, twpr, citerank,
+// katz, sceas): plain serial sweeps of each ranker's own formula over a
+// full graph's out-CSR. It shares no code, and not the substitution that
+// turns Katz and SCEAS into PageRank's system, with the publication-order
+// solver in src/rank/pagerank.cc. bench/fig6_convergence and
+// bench/rank_scaling use the same functions as the tests.
 
 #include <algorithm>
 #include <cmath>
@@ -15,7 +16,9 @@
 
 #include "graph/citation_graph.h"
 #include "rank/citerank.h"
+#include "rank/katz.h"
 #include "rank/ranker.h"
+#include "rank/sceas.h"
 #include "rank/time_weighted_pagerank.h"
 
 namespace scholar {
@@ -82,6 +85,53 @@ inline RankResult PowerIteration(const CitationGraph& graph,
   return result;
 }
 
+/// Iterates s(v) <- sum over citers u of coefficient(u) * (s(u) + offset)
+/// from zero until the L1 change drops below `tolerance` times the L1 mass
+/// (or `max_iterations` sweeps ran), then L1-normalizes. Katz is
+/// coefficient alpha and offset 1; SCEAS is 1 / (a * outdeg(u)) and b.
+/// Rows without references push nothing.
+inline RankResult AffineSweep(const CitationGraph& graph, bool per_reference,
+                              double factor, double offset, double tolerance,
+                              int max_iterations) {
+  const size_t n = graph.num_nodes();
+  RankResult result;
+  std::vector<double> scores(n, 0.0);
+  std::vector<double> next(n);
+  result.converged = false;
+  for (int iter = 1; iter <= max_iterations; ++iter) {
+    std::fill(next.begin(), next.end(), 0.0);
+    for (NodeId u = 0; u < n; ++u) {
+      const size_t degree = graph.OutDegree(u);
+      if (degree == 0) continue;
+      const double coefficient =
+          per_reference ? factor : factor / static_cast<double>(degree);
+      for (NodeId v : graph.References(u)) {
+        next[v] += coefficient * (scores[u] + offset);
+      }
+    }
+    double residual = 0.0;
+    double mass = 0.0;
+    for (NodeId v = 0; v < n; ++v) {
+      residual += std::abs(next[v] - scores[v]);
+      mass += next[v];
+    }
+    scores.swap(next);
+    result.iterations = iter;
+    result.final_residual = residual;
+    if (residual <= tolerance * mass) {
+      result.converged = true;
+      break;
+    }
+  }
+  double total = 0.0;
+  for (double s : scores) total += s;
+  if (total > 0.0) {
+    for (double& s : scores) s /= total;
+  }
+  result.scores = std::move(scores);
+  return result;
+}
+
 /// TWPR's edge weights exp(-sigma * max(0, t(u) - t(v))), computed per edge.
 inline std::vector<double> TwprWeights(const CitationGraph& graph,
                                        double sigma) {
@@ -113,9 +163,9 @@ inline std::vector<double> RecencyJump(const CitationGraph& graph,
 }
 
 /// The oracle scores of a registry base ranker with its default parameters
-/// (read from TwprOptions and CiteRankOptions):
-/// "pagerank", "twpr", "twpr_recency" (twpr with recency_jump=true) or
-/// "citerank". `now` defaults to the graph's max_year().
+/// (read from TwprOptions, CiteRankOptions, KatzOptions and SceasOptions):
+/// "pagerank", "twpr", "twpr_recency" (twpr with recency_jump=true),
+/// "citerank", "katz" or "sceas". `now` defaults to the graph's max_year().
 inline RankResult RankLinear(const std::string& base, const CitationGraph& g,
                              double tolerance = 1e-15,
                              int max_iterations = 5000,
@@ -131,6 +181,15 @@ inline RankResult RankLinear(const std::string& base, const CitationGraph& g,
     return PowerIteration(g, TwprWeights(g, twpr.sigma),
                           RecencyJump(g, twpr.rho, now), damping, tolerance,
                           max_iterations);
+  }
+  if (base == "katz") {
+    return AffineSweep(g, /*per_reference=*/true, KatzOptions().alpha, 1.0,
+                       tolerance, max_iterations);
+  }
+  if (base == "sceas") {
+    const SceasOptions sceas;
+    return AffineSweep(g, /*per_reference=*/false, 1.0 / sceas.a, sceas.b,
+                       tolerance, max_iterations);
   }
   if (base == "citerank") {
     const double rate = 1.0 / CiteRankOptions().tau;

@@ -56,6 +56,15 @@ TEST(SceasTest, NewArticleCreditFasterThanPageRank) {
   EXPECT_GT(r.scores[0], 0.0);
 }
 
+TEST(SceasTest, ZeroBaseCreditScoresZero) {
+  // Without base credit nothing flows: s = 0 is the fixed point.
+  SceasOptions o;
+  o.b = 0.0;
+  RankResult r = SceasRanker(o).Rank(MakeTinyGraph()).value();
+  ASSERT_EQ(r.scores.size(), MakeTinyGraph().num_nodes());
+  for (double s : r.scores) EXPECT_EQ(s, 0.0);
+}
+
 TEST(SceasTest, RejectsBadOptions) {
   SceasOptions o;
   o.a = 1.0;

@@ -51,6 +51,14 @@ TEST(ConfigTest, TypedSettersAndGetters) {
   EXPECT_EQ(c.GetString("s").value(), "hello");
 }
 
+TEST(ConfigTest, SetDoubleRoundTrips) {
+  Config c;
+  for (double v : {1e-14, 0.1, 1e300}) {
+    c.SetDouble("d", v);
+    EXPECT_EQ(c.GetDouble("d").value(), v) << c.GetString("d").value();
+  }
+}
+
 TEST(ConfigTest, MissingKeysAreNotFound) {
   Config c;
   EXPECT_TRUE(c.GetString("nope").status().IsNotFound());

@@ -1,8 +1,8 @@
 /// Warm-start and incremental re-ranking: seeding iterations from earlier
 /// results must not change fixed points, and must reduce iteration counts —
-/// the refresh path for corpora that grow month by month. pagerank, twpr
-/// and citerank solve in publication order and ignore a seed; the
-/// iterative kernels (hits, katz, sceas) still use one.
+/// the refresh path for corpora that grow month by month. The linear
+/// rankers (pagerank, twpr, citerank, katz, sceas) solve in publication
+/// order and ignore a seed; hits still uses one.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -12,6 +12,8 @@
 #include "rank/hits.h"
 #include "rank/katz.h"
 #include "rank/pagerank.h"
+#include "rank/sceas.h"
+#include "stream/incremental_ranker.h"
 #include "test_util.h"
 
 namespace scholar {
@@ -20,32 +22,8 @@ namespace {
 using testing_util::MakeRandomGraph;
 using testing_util::MakeTinyGraph;
 
-TEST(ExtendScoresTest, PadsWithMeanAndNormalizes) {
-  std::vector<double> old_scores = {0.2, 0.6};  // mean 0.4
-  std::vector<double> extended = ExtendScoresForGrownGraph(old_scores, 4);
-  ASSERT_EQ(extended.size(), 4u);
-  // Raw: {0.2, 0.6, 0.4, 0.4}, total 1.6 -> normalized.
-  EXPECT_DOUBLE_EQ(extended[0], 0.2 / 1.6);
-  EXPECT_DOUBLE_EQ(extended[1], 0.6 / 1.6);
-  EXPECT_DOUBLE_EQ(extended[2], 0.4 / 1.6);
-  double sum = 0.0;
-  for (double s : extended) sum += s;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(ExtendScoresTest, EmptyOldScoresGiveUniform) {
-  std::vector<double> extended = ExtendScoresForGrownGraph({}, 4);
-  for (double s : extended) EXPECT_DOUBLE_EQ(s, 0.25);
-}
-
-TEST(ExtendScoresTest, ZeroTarget) {
-  EXPECT_TRUE(ExtendScoresForGrownGraph({1.0}, 0).empty());
-}
-
 TEST(WarmStartTest, SameFixedPointAsColdStart) {
   CitationGraph g = MakeRandomGraph(400, 5, 1985, 20, 3);
-  PageRankRanker ranker;
-  RankResult cold = ranker.Rank(g).value();
   // Seed with an arbitrary (valid) distribution.
   std::vector<double> seed(g.num_nodes());
   Rng rng(7);
@@ -53,23 +31,15 @@ TEST(WarmStartTest, SameFixedPointAsColdStart) {
   RankContext ctx;
   ctx.graph = &g;
   ctx.initial_scores = &seed;
-  RankResult warm = ranker.Rank(ctx).value();
-  EXPECT_EQ(cold.scores, warm.scores);
-}
-
-TEST(WarmStartTest, SeedingWithAnswerConvergesImmediately) {
-  CitationGraph g = MakeRandomGraph(300, 4, 1985, 20, 5);
-  KatzRanker ranker;
-  RankResult cold = ranker.Rank(g).value();
-  // Katz's fixed point is not a distribution: seed at its own magnitude.
-  std::vector<double> seed = cold.scores;
-  for (double& s : seed) s *= cold.score_mass;
-  RankContext ctx;
-  ctx.graph = &g;
-  ctx.initial_scores = &seed;
-  RankResult warm = ranker.Rank(ctx).value();
-  EXPECT_LE(warm.iterations, 3);
-  EXPECT_GT(cold.iterations, warm.iterations);
+  const std::vector<std::shared_ptr<const Ranker>> rankers = {
+      std::make_shared<PageRankRanker>(), std::make_shared<KatzRanker>(),
+      std::make_shared<SceasRanker>()};
+  for (const auto& ranker : rankers) {
+    RankResult cold = ranker->Rank(g).value();
+    RankResult warm = ranker->Rank(ctx).value();
+    EXPECT_EQ(cold.scores, warm.scores) << ranker->name();
+    EXPECT_EQ(warm.iterations, 1) << ranker->name();
+  }
 }
 
 TEST(WarmStartTest, InvalidSeedRejected) {
@@ -105,7 +75,7 @@ TEST(IncrementalRankTest, GrownGraphRefreshesFaster) {
   // ...grows to today's. Snapshot node ids are a prefix of the full
   // graph's (ids are monotone in year), so old scores extend directly.
   std::vector<double> seed =
-      ExtendScoresForGrownGraph(old_result.scores, full.num_nodes());
+      stream::ExtendSeedForGrownGraph(old_result.scores, full.num_nodes());
   RankContext warm_ctx;
   warm_ctx.graph = &full;
   warm_ctx.initial_scores = &seed;

@@ -3,7 +3,7 @@
 // throughput cliff at the paper's corpus scale (millions of nodes, tens
 // of sweeps), and allocator locks serialize the parallel gather path.
 //
-// Scope: src/rank/kernel/**, src/rank/*.cc, src/stream/frontier_rank.cc.
+// Scope: src/rank/kernel/**, src/rank/*.cc.
 // Exemptions: loops (or whole functions) under an `// analyze:init-scope`
 // marker — CSR building and similar init-phase
 // work allocates by design; and return/throw statements, which are cold
@@ -17,7 +17,6 @@ namespace {
 
 bool InHotScope(const std::string& path) {
   if (PathContains(path, "src/rank/kernel/")) return true;
-  if (path == "src/stream/frontier_rank.cc") return true;
   const std::string prefix = "src/rank/";
   if (path.compare(0, prefix.size(), prefix) == 0) {
     const std::string rest = path.substr(prefix.size());

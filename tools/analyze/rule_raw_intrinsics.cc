@@ -1,8 +1,7 @@
-// raw-intrinsics: SIMD intrinsics are confined to src/rank/kernel/. That
-// directory owns the runtime ISA dispatch and the scalar oracle that
-// proves each vector path bit-identical, so an intrinsic anywhere else in
-// src/ is a portability and bit-identity hazard the kernel seam exists to
-// prevent. Flags _mm_/_mm256_/_mm512_ calls, __m128/__m256/__m512 vector
+// raw-intrinsics: SIMD intrinsics are confined to src/rank/kernel/, the
+// home of the host ISA detection. Every ranker is portable C++ whose
+// scores are bit-identical at every thread count, so an intrinsic anywhere
+// else in src/ is a portability and bit-identity hazard. Flags _mm_/_mm256_/_mm512_ calls, __m128/__m256/__m512 vector
 // types, and *intrin.h includes; tools, tests and benches are free.
 
 #include "analyze/rules.h"
@@ -34,10 +33,8 @@ void CheckRawIntrinsics(const LexedFile& f, std::vector<Finding>* out) {
     if (!IsIntrinsicsHeader(inc.path)) continue;
     reporter.Report(inc.line, "raw-intrinsics",
                     "#include <" + inc.path +
-                        "> outside src/rank/kernel/; SIMD code belongs behind "
-                        "the iteration-engine seam (rank/kernel/simd.h), which "
-                        "owns runtime dispatch and the scalar bit-identity "
-                        "oracle");
+                        "> outside src/rank/kernel/; SIMD code belongs there, "
+                        "next to the host ISA detection (rank/kernel/simd.h)");
   }
   for (const Token& tok : f.tokens) {
     if (tok.kind != TokKind::kIdent) continue;
@@ -47,9 +44,8 @@ void CheckRawIntrinsics(const LexedFile& f, std::vector<Finding>* out) {
         HasPrefix(s, "__m256") || HasPrefix(s, "__m512")) {
       reporter.Report(tok.line, "raw-intrinsics",
                       "raw SIMD intrinsic '" + s +
-                          "' outside src/rank/kernel/; route vector work "
-                          "through the iteration engine (rank/kernel/), or "
-                          "mark a deliberate exception "
+                          "' outside src/rank/kernel/; move vector work "
+                          "there, or mark a deliberate exception "
                           "NOLINT(raw-intrinsics): reason");
     }
   }

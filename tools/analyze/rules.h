@@ -31,10 +31,9 @@ void CheckUncheckedStatus(const LexedFile& f, const FileModel& model,
 
 /// hot-loop-alloc: allocation (new/malloc/make_unique), container growth
 /// (push_back/resize/reserve/...), and string construction inside loops of
-/// the ranking hot path (src/rank/kernel/, src/rank/*.cc,
-/// src/stream/frontier_rank.cc). Loops and functions under an
-/// `// analyze:init-scope` marker are exempt; so are return/throw
-/// statements (cold error paths).
+/// the ranking hot path (src/rank/kernel/, src/rank/*.cc). Loops and
+/// functions under an `// analyze:init-scope` marker are exempt; so are
+/// return/throw statements (cold error paths).
 void CheckHotLoopAlloc(const LexedFile& f, const FileModel& model,
                        std::vector<Finding>* out);
 

@@ -50,12 +50,12 @@
 #   --fuzz[=N] also run the fuzz flavor, N seconds per harness (default 30)
 #   --analyze  also run the analyze flavor (see above)
 #   --bench-gate
-#              also run the bench-gate flavor: rank_scaling --smoke (TWPR
-#              through the publication-order solver at 1/2/4/8 threads),
-#              then serve_scaling --smoke against a live event-loop
-#              server. The binaries assert their own contracts (bit-
-#              identity at every thread count and, on the clean corpus,
-#              L1 <= 1e-11 to a tight power-iteration reference; zero
+#              also run the bench-gate flavor: rank_scaling --smoke
+#              (TWPR, Katz and SCEAS through the publication-order solver
+#              at 1/2/4/8 threads), then serve_scaling --smoke against a
+#              live event-loop server. The binaries assert their own
+#              contracts (bit-identity at every thread count and, on the
+#              clean corpus, L1 <= 1e-11 to a tight reference; zero
 #              errors / zero dropped responses across mid-run hot swaps
 #              and BUSY shedding under overload); any violation fails the
 #              gate. Smoke timings are not

@@ -7,7 +7,7 @@
 //                     and static_cast<void> discards are flagged too.
 //   hot-loop-alloc    no allocation / container growth / string building
 //                     inside ranking sweep loops (src/rank/kernel/,
-//                     src/rank/*.cc, src/stream/frontier_rank.cc);
+//                     src/rank/*.cc);
 //                     `// analyze:init-scope` exempts init-phase scopes.
 //   lock-order        the cross-file mutex acquisition graph (direct
 //                     MutexLock sites + transitive acquisition through
