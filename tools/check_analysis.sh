@@ -259,7 +259,7 @@ run_flavor() {
   if [ "$flavor" = "bench-gate" ]; then
     # rank_scaling --smoke SCHOLAR_CHECKs bit-identity at every thread
     # count and, on the clean corpus, the L1 distance to a tight
-    # power-iteration reference; a nonzero exit is a contract violation,
+    # reference; a nonzero exit is a contract violation,
     # not a slow machine. serve_scaling --smoke does the same
     # for the serving tier: zero errors / zero dropped responses across
     # mid-run hot swaps and BUSY shedding under a tiny batch bound.
@@ -275,7 +275,7 @@ run_flavor() {
       RESULT[$flavor]="FAIL (serving-tier contract violated)"
       return 1
     fi
-    RESULT[$flavor]="PASS (engine variant + serving-tier contracts)"
+    RESULT[$flavor]="PASS (solver + serving-tier contracts)"
     return 0
   fi
   echo "=== [$flavor] test ==="
