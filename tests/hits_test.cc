@@ -76,30 +76,6 @@ TEST(HitsTest, RejectsNonPositiveIterations) {
       HitsRanker(o).Rank(MakeTinyGraph()).status().IsInvalidArgument());
 }
 
-TEST(HitsTest, BitIdenticalAcrossThreadCounts) {
-  // Big enough that every thread count gets real chunks of the gather,
-  // plus the tiny graph's dangling nodes and empty rows.
-  const CitationGraph graphs[] = {
-      MakeRandomGraph(/*n=*/600, /*avg_degree=*/6, /*start_year=*/1990,
-                      /*num_years=*/12, /*seed=*/7),
-      MakeTinyGraph()};
-  for (const CitationGraph& g : graphs) {
-    std::vector<double> serial;
-    for (int threads : {1, 2, 4, 8}) {
-      HitsOptions o;
-      o.threads = threads;
-      const RankResult r = HitsRanker(o).Rank(g).value();
-      ASSERT_EQ(r.scores.size(), g.num_nodes());
-      if (threads == 1) {
-        serial = r.scores;
-      } else {
-        EXPECT_EQ(r.scores, serial)
-            << g.num_nodes() << " nodes, threads=" << threads;
-      }
-    }
-  }
-}
-
 TEST(HitsTest, DeterministicOnRandomGraph) {
   CitationGraph g = MakeRandomGraph(200, 4, 1990, 10, 17);
   RankResult a = HitsRanker().Rank(g).value();
